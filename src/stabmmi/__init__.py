@@ -11,7 +11,7 @@ Submodules:
     cli      — the `stabmmi` command-line tool
 """
 
-from . import census, cli, entropy, gf2, graphs, star, tableau
+from . import census, entropy, gf2, graphs, star, tableau
 
 __all__ = ["gf2", "tableau", "graphs", "entropy", "star", "census", "cli"]
 __version__ = "0.1.0"

@@ -1,11 +1,13 @@
 """Exhaustive censuses of labeled graphs and unsigned stabilizer groups.
 
 Entropy vectors are aggregated into distinct-vector sets and qubit-exchange
-classes with MMI tallies.  The per-state entropy vector is computed by
-support counting: for a stabilizer group S, the number of elements supported
-inside A is 2^(|A| − S_A), so one pass over the 2^n group elements plus a
-subset-sum (zeta) transform yields every subsystem entropy at once.  Small
-sizes run in plain Python; n ≥ 6 runs through vectorized numpy batches.
+classes with MMI tallies.  Every census entropy vector comes from one
+support-counting kernel: for a stabilizer group S, the number of elements
+supported inside A is 2^(|A| − S_A) (Fattal et al., quant-ph/0406168), so a
+histogram of the 2^n element supports plus a subset-sum (zeta) transform
+yields every subsystem entropy at once.  The kernel works on numpy batches of
+generator rows; labeled graphs (x = identity, z = adjacency) and stabilizer
+groups are both fed to it in fixed-size chunks.
 
 Unsigned stabilizer groups are enumerated through an exact parametrization:
 a maximal symplectically self-orthogonal subspace of Z_2^{2n} is determined
@@ -17,13 +19,12 @@ the product formula ∏(2^k + 1).
 from __future__ import annotations
 
 import multiprocessing
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
 
-from . import entropy as entmod
 from . import graphs as graphmod
 from . import star as starmod
 from .entropy import EntropyVector, MmiTally, mmi_tally
@@ -43,6 +44,9 @@ __all__ = [
     "four_star_conjecture_scan",
     "nontrivial_intersection_scan",
 ]
+
+# rows per kernel call; also the unit of work handed to pool workers
+CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,8 @@ class ClassInfo:
     tally: MmiTally
     state_count: int
     member_vectors: int
+    # realizing graph of the class's first member vector (None for groups)
+    representative: Graph | None
 
 
 @dataclass
@@ -89,43 +95,77 @@ def stabilizer_group_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# support-counting entropy vectors
+# support-counting kernel
 
 
-def _support_entropy_values(x_rows, z_rows, n: int) -> tuple[int, ...]:
-    """Entropy values for all nonempty masks from generator rows.
+def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Entropy rows from batches of generator rows.
 
-    Walks the 2^n group elements in Gray-code order, histograms their
-    support masks, subset-sums the histogram, and reads off
-    S_A = |A| − log2(#elements supported inside A).
+    x and z have shape (B, n): entry [b, i] is the X- or Z-bitmask of
+    generator i of group b.  Returns uint8 rows of shape (B, 2^n − 1) whose
+    entry m − 1 is S_A for the nonempty mask m = A.  Work arrays are laid out
+    mask-major, (2^n, B), so every slice below is a contiguous block; they
+    are int32, which holds B·2^n < 2^31.
     """
+    batch, n = z.shape
     size = 1 << n
-    counts = [0] * size
-    counts[0] = 1
-    xm = zm = 0
-    for t in range(1, size):
-        v = (t & -t).bit_length() - 1
-        xm ^= x_rows[v]
-        zm ^= z_rows[v]
-        counts[xm | zm] += 1
-    for b in range(n):
-        bit = 1 << b
-        for m in range(size):
-            if m & bit:
-                counts[m] += counts[m ^ bit]
-    return tuple(
-        bin(m).count("1") - (counts[m].bit_length() - 1) for m in range(1, size)
-    )
+    # element s is the product of the generators in bitmask s; its support
+    # is the union of its X- and Z-parts
+    x = np.asarray(x, dtype=np.int32).T
+    z = np.asarray(z, dtype=np.int32).T
+    x_parts = np.zeros((size, batch), dtype=np.int32)
+    z_parts = np.zeros((size, batch), dtype=np.int32)
+    for i in range(n):
+        np.bitwise_xor(x_parts[: 1 << i], x[i], out=x_parts[1 << i : 2 << i])
+        np.bitwise_xor(z_parts[: 1 << i], z[i], out=z_parts[1 << i : 2 << i])
+    # in place from here on: fresh arrays of this size cost more than the
+    # arithmetic; each support becomes its bincount slot, support·B + b
+    supports = x_parts
+    supports |= z_parts
+    supports *= batch
+    supports += np.arange(batch, dtype=np.int32)
+    counts = np.bincount(supports.ravel().astype(np.intp), minlength=size * batch)
+    counts = counts.reshape(size, batch)
+    # subset sums: counts[m] becomes the number of elements supported in m
+    for k in range(n):
+        half = counts.reshape(-1, 2, 1 << k, batch)
+        half[:, 1] += half[:, 0]
+    popcount = np.zeros(size, dtype=np.uint8)
+    for i in range(n):
+        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
+    log2 = np.zeros(size + 1, dtype=np.uint8)
+    log2[1 << np.arange(n + 1)] = np.arange(n + 1)
+    return (popcount[1:, None] - log2[counts[1:]]).T.copy()
+
+
+def _index_bits(index: np.ndarray, width: int) -> np.ndarray:
+    """Rows of the low `width` bits of each index, least significant first."""
+    return (index[:, None] >> np.arange(width)) & 1
 
 
 def graph_entropy_values(g: Graph) -> tuple[int, ...]:
     """Entropy vector of a graph state (values for masks 1..2^n−1)."""
-    ident = [1 << v for v in range(g.n)]
-    return _support_entropy_values(ident, list(g.adj), g.n)
+    z = np.array([g.adj], dtype=np.int64)
+    x = 1 << np.arange(g.n, dtype=np.int64)[None, :]
+    return tuple(_entropy_rows(x, z)[0].tolist())
 
 
 def tableau_entropy_values(t: Tableau) -> tuple[int, ...]:
-    return _support_entropy_values(list(t.x.rows), list(t.z.rows), t.n)
+    x = np.array([t.x.rows], dtype=np.int64)
+    z = np.array([t.z.rows], dtype=np.int64)
+    return tuple(_entropy_rows(x, z)[0].tolist())
+
+
+def _graph_rows(n: int, start: int, stop: int) -> np.ndarray:
+    """Entropy rows of the labeled graphs with edge masks start..stop−1."""
+    pairs = list(combinations(range(n), 2))
+    weights = np.zeros((len(pairs), n), dtype=np.int64)
+    for e, (v, w) in enumerate(pairs):
+        weights[e, v] = 1 << w
+        weights[e, w] = 1 << v
+    z = _index_bits(np.arange(start, stop, dtype=np.int64), len(pairs)) @ weights
+    x = np.broadcast_to(1 << np.arange(n, dtype=np.int64), z.shape)
+    return _entropy_rows(x, z)
 
 
 # ---------------------------------------------------------------------------
@@ -169,95 +209,91 @@ def _kernel_basis(rows, pivots, n: int) -> list[int]:
     return out
 
 
-def _group_generators(n: int):
-    """Generator rows (x_rows, z_rows) of every unsigned stabilizer group."""
+def _subspace_blocks(n: int):
+    """Generator rows of every unsigned stabilizer group, as arrays of shape
+    (b, 2, n) holding x and z, one X-part subspace at a time.
+
+    The group built on RREF rows with pivots p and symmetric t×t matrix a has
+    x rows = rows (padded with zeros) and z rows = (a · pivot bits, kernel).
+    The index of a enumerates its upper triangle bit by bit, so its z rows
+    are a sum of per-bit weights, computed for CHUNK indices at a time.
+    """
     for t in range(n + 1):
+        tri = [(i, j) for i in range(t) for j in range(i, t)]
+        total = 1 << len(tri)
+        low_bits = _index_bits(np.arange(min(total, CHUNK)), len(tri))
         for rows, pivots in _rref_matrices(n, t):
-            kernel = _kernel_basis(rows, pivots, n)
-            tri = [(i, j) for i in range(t) for j in range(i, t)]
-            for bits in range(1 << len(tri)):
-                a = [[0] * t for _ in range(t)]
-                for s, (i, j) in enumerate(tri):
-                    if (bits >> s) & 1:
-                        a[i][j] = a[j][i] = 1
-                x_rows = list(rows) + [0] * (n - t)
-                z_rows = [
-                    sum(a[i][j] << pivots[j] for j in range(t)) for i in range(t)
-                ] + kernel
-                yield x_rows, z_rows
+            weights = np.zeros((len(tri), n), dtype=np.int64)
+            for s, (i, j) in enumerate(tri):
+                weights[s, i] |= 1 << pivots[j]
+                weights[s, j] |= 1 << pivots[i]
+            z = np.array([0] * t + _kernel_basis(rows, pivots, n)) + low_bits @ weights
+            for lo in range(0, total, CHUNK):
+                block = np.empty((z.shape[0], 2, n), dtype=np.int64)
+                block[:, 0] = rows + [0] * (n - t)
+                block[:, 1] = z + _index_bits(np.array([lo]), len(tri)) @ weights
+                yield block
+
+
+def _group_chunks(n: int):
+    """The blocks of `_subspace_blocks`, packed into chunks of CHUNK groups
+    (the last one shorter), so small subspaces share one kernel call."""
+    if not 1 <= n <= 6:
+        raise ValueError("group enumeration capped at 1 ≤ n ≤ 6")
+    pending: list[np.ndarray] = []
+    held = 0
+    for block in _subspace_blocks(n):
+        pending.append(block)
+        held += block.shape[0]
+        if held >= CHUNK:
+            joined = np.concatenate(pending)
+            yield joined[:CHUNK]
+            pending = [joined[CHUNK:]]
+            held -= CHUNK
+    if held:
+        yield np.concatenate(pending)
 
 
 def enumerate_stabilizer_groups(n: int):
     """Each unsigned stabilizer group once, as a canonical-RREF Tableau."""
-    if not 1 <= n <= 6:
-        raise ValueError("group enumeration capped at n ≤ 6")
-    for x_rows, z_rows in _group_generators(n):
-        combined = BitMatrix(
-            tuple(xr | (zr << n) for xr, zr in zip(x_rows, z_rows)), 2 * n
-        )
-        reduced, _ = rref(combined)
-        low = (1 << n) - 1
-        yield Tableau(
-            n,
-            BitMatrix(tuple(r & low for r in reduced.rows), n),
-            BitMatrix(tuple(r >> n for r in reduced.rows), n),
-        )
+    low = (1 << n) - 1
+    for chunk in _group_chunks(n):
+        for x_rows, z_rows in chunk.tolist():
+            combined = BitMatrix(
+                tuple(xr | (zr << n) for xr, zr in zip(x_rows, z_rows)), 2 * n
+            )
+            reduced, _ = rref(combined)
+            yield Tableau(
+                n,
+                BitMatrix(tuple(r & low for r in reduced.rows), n),
+                BitMatrix(tuple(r >> n for r in reduced.rows), n),
+            )
 
 
 # ---------------------------------------------------------------------------
-# numpy fast paths
+# distinct-vector tallies
 
 
-def _zeta_and_values(counts: np.ndarray, n: int) -> np.ndarray:
-    """In-place subset-sum of support histograms, then entropy values."""
-    size = 1 << n
-    for b in range(n):
-        bit = 1 << b
-        upper = [m for m in range(size) if m & bit]
-        lower = [m ^ bit for m in upper]
-        counts[:, upper] += counts[:, lower]
-    pop = np.array([bin(m).count("1") for m in range(size)], dtype=np.int16)
-    log2 = np.zeros(size + 1, dtype=np.int16)
-    for e in range(n + 1):
-        log2[1 << e] = e
-    return (pop[None, 1:] - log2[counts[:, 1:]]).astype(np.uint8)
+def _tally_rows(rows: np.ndarray, start: int) -> dict[bytes, tuple[int, int]]:
+    """Distinct rows in first-seen order -> (count, start + first row index)."""
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return {key: (cnt, start + first[key]) for key, cnt in Counter(keys).items()}
 
 
-def _graph_batch_values(n: int, start: int, stop: int) -> np.ndarray:
-    """Entropy-value rows for labeled graphs with edge masks start..stop−1."""
-    pairs = list(combinations(range(n), 2))
-    masks = np.arange(start, stop, dtype=np.int64)
-    batch = masks.shape[0]
-    cols = np.zeros((batch, n), dtype=np.int16)
-    for e, (v, w) in enumerate(pairs):
-        bit = ((masks >> e) & 1).astype(np.int16)
-        cols[:, v] |= bit << w
-        cols[:, w] |= bit << v
-    size = 1 << n
-    counts = np.zeros((batch, size), dtype=np.uint16)
-    rows_idx = np.arange(batch)
-    z = np.zeros(batch, dtype=np.int16)
-    counts[:, 0] = 1
-    for t in range(1, size):
-        v = ((t & -t).bit_length()) - 1
-        z ^= cols[:, v]
-        supp = z | np.int16(t ^ (t >> 1))
-        counts[rows_idx, supp] += 1
-    return _zeta_and_values(counts, n)
+def _merge_tallies(parts) -> dict[bytes, tuple[int, int]]:
+    """Sum chunk tallies, given in enumeration order."""
+    merged: dict[bytes, tuple[int, int]] = {}
+    for part in parts:
+        for key, (cnt, first) in part.items():
+            prev = merged.get(key)
+            merged[key] = (cnt, first) if prev is None else (prev[0] + cnt, prev[1])
+    return merged
 
 
 def _graph_chunk_tally(args) -> dict[bytes, tuple[int, int]]:
     n, start, stop = args
-    vals = _graph_batch_values(n, start, stop)
-    out: dict[bytes, tuple[int, int]] = {}
-    for offset, row in enumerate(vals):
-        key = row.tobytes()
-        prev = out.get(key)
-        if prev is None:
-            out[key] = (1, start + offset)
-        else:
-            out[key] = (prev[0] + 1, prev[1])
-    return out
+    return _tally_rows(_graph_rows(n, start, stop), start)
 
 
 def _vector_counts_graphs(n: int, jobs: int = 1) -> dict[bytes, tuple[int, int]]:
@@ -266,90 +302,26 @@ def _vector_counts_graphs(n: int, jobs: int = 1) -> dict[bytes, tuple[int, int]]
     Returns vector-bytes -> (graph count, smallest realizing edge mask).
     """
     total = 1 << (n * (n - 1) // 2)
-    if n <= 5:
-        out: dict[bytes, tuple[int, int]] = {}
-        for mask, g in enumerate(enumerate_graphs(n)):
-            key = bytes(graph_entropy_values(g))
-            prev = out.get(key)
-            out[key] = (1, mask) if prev is None else (prev[0] + 1, prev[1])
-        return out
-    batch = 1 << 15
-    chunks = [(n, s, min(s + batch, total)) for s in range(0, total, batch)]
-    if jobs > 1:
+    chunks = [(n, s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
+    if jobs > 1 and len(chunks) > 1:
         with multiprocessing.Pool(jobs) as pool:
-            partials = pool.map(_graph_chunk_tally, chunks)
-    else:
-        partials = [_graph_chunk_tally(c) for c in chunks]
-    merged: dict[bytes, tuple[int, int]] = {}
-    for part in partials:
-        for key, (cnt, rep) in part.items():
-            prev = merged.get(key)
-            merged[key] = (cnt, rep) if prev is None else (prev[0] + cnt, min(prev[1], rep))
-    return merged
+            return _merge_tallies(pool.map(_graph_chunk_tally, chunks))
+    return _merge_tallies(map(_graph_chunk_tally, chunks))
 
 
-def _group_batch_values(n: int, rows, pivots, a_lo: int, a_hi: int) -> np.ndarray:
-    """Entropy-value rows for the groups built on one X-part subspace,
-    sweeping the symmetric-matrix index from a_lo to a_hi−1."""
-    t = len(rows)
-    kernel = _kernel_basis(rows, pivots, n)
-    tri = [(i, j) for i in range(t) for j in range(i, t)]
-    slot = {(i, j): s for s, (i, j) in enumerate(tri)}
-    a_idx = np.arange(a_lo, a_hi, dtype=np.int64)
-    batch = a_idx.shape[0]
-    # pivot-bit pattern of each symmetric-matrix row, per group in the batch
-    zrows_piv = np.zeros((t, batch), dtype=np.int16)
-    for i in range(t):
-        for j in range(t):
-            s = slot[(min(i, j), max(i, j))]
-            zrows_piv[i] |= (((a_idx >> s) & 1) << j).astype(np.int16)
-    # spread t pivot bits back to vertex positions
-    lut = np.zeros(1 << t, dtype=np.int16)
-    for pat in range(1 << t):
-        lut[pat] = sum(((pat >> j) & 1) << pivots[j] for j in range(t))
-    kern_xor = [0] * (1 << (n - t))
-    for s in range(1, 1 << (n - t)):
-        v = (s & -s).bit_length() - 1
-        kern_xor[s] = kern_xor[s ^ (s & -s)] ^ kernel[v]
-    x_xor = [0] * (1 << t)
-    for s in range(1, 1 << t):
-        v = (s & -s).bit_length() - 1
-        x_xor[s] = x_xor[s ^ (s & -s)] ^ rows[v]
-    size = 1 << n
-    counts = np.zeros((batch, size), dtype=np.uint16)
-    rows_idx = np.arange(batch)
-    zp = np.zeros(batch, dtype=np.int16)
-    for s1_step in range(1 << t):
-        if s1_step:
-            v = (s1_step & -s1_step).bit_length() - 1
-            zp ^= zrows_piv[v]
-        s1 = s1_step ^ (s1_step >> 1)
-        zvert = lut[zp]
-        xmask = x_xor[s1]
-        for s2 in range(1 << (n - t)):
-            supp = (zvert ^ np.int16(kern_xor[s2])) | np.int16(xmask)
-            counts[rows_idx, supp] += 1
-    return _zeta_and_values(counts, n)
+def _vector_counts_groups(n: int) -> dict[bytes, tuple[int, int]]:
+    """Distinct entropy vectors over all unsigned stabilizer groups.
 
+    Returns vector-bytes -> (group count, index of the first realizing group).
+    """
 
-def _vector_counts_groups(n: int) -> dict[bytes, int]:
-    """Distinct entropy vectors over all unsigned stabilizer groups."""
-    out: dict[bytes, int] = {}
-    if n <= 5:
-        for x_rows, z_rows in _group_generators(n):
-            key = bytes(_support_entropy_values(x_rows, z_rows, n))
-            out[key] = out.get(key, 0) + 1
-        return out
-    batch = 1 << 15
-    for t in range(n + 1):
-        total_a = 1 << (t * (t + 1) // 2)
-        for rows, pivots in _rref_matrices(n, t):
-            for a_lo in range(0, total_a, batch):
-                vals = _group_batch_values(n, rows, pivots, a_lo, min(a_lo + batch, total_a))
-                for row in vals:
-                    key = row.tobytes()
-                    out[key] = out.get(key, 0) + 1
-    return out
+    def parts():
+        start = 0
+        for chunk in _group_chunks(n):
+            yield _tally_rows(_entropy_rows(chunk[:, 0], chunk[:, 1]), start)
+            start += chunk.shape[0]
+
+    return _merge_tallies(parts())
 
 
 # ---------------------------------------------------------------------------
@@ -357,26 +329,28 @@ def _vector_counts_groups(n: int) -> dict[bytes, int]:
 
 
 def _perm_table(n: int) -> np.ndarray:
-    full = (1 << n) - 1
-    perms = list(permutations(range(n)))
-    table = np.zeros((len(perms), full), dtype=np.int32)
-    for pi, perm in enumerate(perms):
-        for m in range(1, full + 1):
-            table[pi, m - 1] = entmod.permute_mask(m, perm) - 1
-    return table
+    """Entry [p, m − 1] is the index of mask m after qubit relabeling p, which
+    moves bit v to bit p[v] (as `entropy.permute_mask`)."""
+    perms = np.array(list(permutations(range(n))), dtype=np.int32)
+    masks = _index_bits(np.arange(1, 1 << n), n).astype(np.int32)
+    return (1 << perms) @ masks.T - 1
 
 
-def _canonical_values(vals: tuple[int, ...], table: np.ndarray) -> tuple[int, ...]:
-    arr = np.frombuffer(bytes(vals), dtype=np.uint8)
-    cand = arr[table]
-    active = np.arange(cand.shape[0])
-    for col in range(cand.shape[1]):
-        column = cand[active, col]
-        best = column.min()
-        active = active[column == best]
-        if active.shape[0] == 1:
-            break
-    return tuple(int(v) for v in cand[active[0]])
+def _canonical_values(
+    key: bytes, table: np.ndarray, known: dict[bytes, tuple[int, ...]]
+) -> tuple[int, ...]:
+    """Lexicographic minimum of a value row over all qubit relabelings.
+
+    The relabeled rows are the row's whole orbit, and they all share its
+    minimum, so each orbit is recorded in `known` and computed only once.
+    """
+    canon = known.get(key)
+    if canon is None:
+        orbit = np.frombuffer(key, dtype=np.uint8)[table]
+        members = orbit.view(np.dtype((np.void, orbit.shape[1]))).ravel().tolist()
+        canon = tuple(min(members))
+        known.update(dict.fromkeys(members, canon))
+    return canon
 
 
 def vector_census(
@@ -384,40 +358,29 @@ def vector_census(
 ) -> CensusResult:
     """Distinct entropy vectors and exchange classes over one source family."""
     if source == "graphs":
-        if n > 8 or (n == 8 and not allow_heavy):
-            raise ValueError("graph census capped at n ≤ 7 (8 with allow_heavy)")
+        if not 1 <= n <= 8 or (n == 8 and not allow_heavy):
+            raise ValueError("graph census capped at 1 ≤ n ≤ 7 (8 with allow_heavy)")
         raw = _vector_counts_graphs(n, jobs)
-        vectors = {tuple(key): cnt for key, (cnt, _rep) in raw.items()}
-        reps: dict[tuple[int, ...], Graph | None] = {}
-        pairs = list(combinations(range(n), 2))
-        for key, (_cnt, rep_mask) in raw.items():
-            edges = [
-                (pairs[e][0] + 1, pairs[e][1] + 1)
-                for e in range(len(pairs))
-                if (rep_mask >> e) & 1
-            ]
-            reps[tuple(key)] = graphmod.from_edges(n, edges)
+        reps = {
+            tuple(key): graphmod.from_edge_mask(n, first) for key, (_c, first) in raw.items()
+        }
     elif source == "groups":
-        if n > 6:
-            raise ValueError("group census capped at n ≤ 6")
-        raw_g = _vector_counts_groups(n)
-        vectors = {tuple(key): cnt for key, cnt in raw_g.items()}
-        reps = {vals: None for vals in vectors}
+        raw = _vector_counts_groups(n)
+        reps = {tuple(key): None for key in raw}
     else:
         raise ValueError(f"unknown source {source!r}")
+    vectors = {tuple(key): cnt for key, (cnt, _first) in raw.items()}
 
-    table = _perm_table(n) if n >= 6 else None
+    table = _perm_table(n)
+    known: dict[bytes, tuple[int, ...]] = {}
     classes: dict[tuple[int, ...], ClassInfo] = {}
     multiplier = (1 << n) if source == "groups" else 1
     for vals, cnt in vectors.items():
-        if table is not None:
-            canon = _canonical_values(vals, table)
-        else:
-            canon = entmod.canonicalize(EntropyVector(n, vals)).values
+        canon = _canonical_values(bytes(vals), table, known)
         info = classes.get(canon)
         if info is None:
             tally = mmi_tally(EntropyVector(n, canon))
-            classes[canon] = ClassInfo(canon, tally, cnt * multiplier, 1)
+            classes[canon] = ClassInfo(canon, tally, cnt * multiplier, 1, reps[vals])
         else:
             info.state_count += cnt * multiplier
             info.member_vectors += 1
@@ -425,50 +388,30 @@ def vector_census(
 
 
 def state_census(n: int, jobs: int = 1) -> CensusRow:
-    """Per-state MMI bucket counts over all signed stabilizer states."""
-    if n > 6:
-        raise ValueError("state census capped at n ≤ 6")
-    counts = _vector_counts_groups(n)
-    saturate = satisfy = fail = 0
-    distinct = len(counts)
-    failing_vectors = 0
-    tally_cache: dict[bytes, MmiTally] = {}
-    for key, cnt in counts.items():
-        tally = tally_cache.get(key)
-        if tally is None:
-            tally = mmi_tally(EntropyVector(n, tuple(key)))
-            tally_cache[key] = tally
-        states = cnt << n
-        if tally.fails:
-            fail += states
-            failing_vectors += 1
-        elif tally.satisfies:
-            satisfy += states
+    """Per-state MMI bucket counts over all signed stabilizer states.
+
+    A class's tally is that of each member vector, since relabeling qubits
+    permutes the MMI instances among themselves."""
+    result = vector_census(n, source="groups", jobs=jobs)
+    saturate = satisfy = fail = failing_vectors = 0
+    for info in result.classes.values():
+        if info.tally.fails:
+            fail += info.state_count
+            failing_vectors += info.member_vectors
+        elif info.tally.satisfies:
+            satisfy += info.state_count
         else:
-            saturate += states
-    result = vector_census_classes_count(n, counts)
+            saturate += info.state_count
     return CensusRow(
         n,
         (1 << n) * stabilizer_group_count(n),
         saturate,
         satisfy,
         fail,
-        distinct,
-        result,
+        len(result.vectors),
+        len(result.classes),
         failing_vectors,
     )
-
-
-def vector_census_classes_count(n: int, counts: dict[bytes, int]) -> int:
-    table = _perm_table(n) if n >= 6 else None
-    canon_set = set()
-    for key in counts:
-        vals = tuple(key)
-        if table is not None:
-            canon_set.add(_canonical_values(vals, table))
-        else:
-            canon_set.add(entmod.canonicalize(EntropyVector(n, vals)).values)
-    return len(canon_set)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +446,6 @@ def four_star_conjecture_scan(n: int, budget: int = 10**6, jobs: int = 1) -> dic
     if n < 4:
         return {"n": n, "failing_vectors": 0, "witnesses": [], "counterexamples": []}
     raw = _vector_counts_graphs(n, jobs)
-    pairs = list(combinations(range(n), 2))
     witnesses = []
     counterexamples = []
     budget_exceeded = []
@@ -513,12 +455,7 @@ def four_star_conjecture_scan(n: int, budget: int = 10**6, jobs: int = 1) -> dic
         if not tally.fails:
             continue
         idx += 1
-        edges = [
-            (pairs[e][0] + 1, pairs[e][1] + 1)
-            for e in range(len(pairs))
-            if (rep_mask >> e) & 1
-        ]
-        g = graphmod.from_edges(n, edges)
+        g = graphmod.from_edge_mask(n, rep_mask)
         member, searched = _orbit_four_star_search(g, budget)
         record = {
             "vector_id": idx,
@@ -553,22 +490,27 @@ def nontrivial_intersection_scan(n: int, jobs: int = 1) -> dict:
     """Verify: a nontrivial-intersection partition implies the state fails
     some MMI instance.  Only graphs whose vector fails nothing need the
     partition search; any hit there is a counterexample."""
-    if n > 7:
-        raise ValueError("scan capped at n ≤ 7")
+    if not 1 <= n <= 7:
+        raise ValueError("scan capped at 1 ≤ n ≤ 7")
     counterexamples = []
     searched = 0
-    tally_cache: dict[tuple[int, ...], bool] = {}
-    for g in enumerate_graphs(n):
-        vals = graph_entropy_values(g)
-        fails = tally_cache.get(vals)
-        if fails is None:
-            fails = mmi_tally(EntropyVector(n, vals)).fails > 0
-            tally_cache[vals] = fails
-        if fails:
-            continue  # implication holds whatever the partitions are
-        searched += 1
-        if n >= 4 and has_nontrivial_partition(g):
-            counterexamples.append(graphmod.to_graph6(g))
+    fails_cache: dict[bytes, bool] = {}
+    total = 1 << (n * (n - 1) // 2)
+    for start in range(0, total, CHUNK):
+        rows = _graph_rows(n, start, min(start + CHUNK, total))
+        for offset, row in enumerate(rows):
+            key = row.tobytes()
+            fails = fails_cache.get(key)
+            if fails is None:
+                fails = mmi_tally(EntropyVector(n, tuple(row.tolist()))).fails > 0
+                fails_cache[key] = fails
+            if fails:
+                continue  # implication holds whatever the partitions are
+            searched += 1
+            if n >= 4:
+                g = graphmod.from_edge_mask(n, start + offset)
+                if has_nontrivial_partition(g):
+                    counterexamples.append(graphmod.to_graph6(g))
     return {
         "n": n,
         "graphs_searched": searched,

@@ -89,7 +89,8 @@ def cmd_mmi(args) -> int:
     include = not args.skip_full_union
     print("instance-I,instance-J,instance-K,outcome")
     counts = {o: 0 for o in entmod.MmiOutcome}
-    for inst in entmod.mmi_instances(ev.n, include):
+    instances = entmod.mmi_instances(ev.n, include) if ev.n >= 3 else []
+    for inst in instances:
         outcome = entmod.evaluate_mmi(ev, inst)
         counts[outcome] += 1
         print(
@@ -235,7 +236,11 @@ def cmd_census(args) -> int:
                         "satisfies": info.tally.satisfies,
                         "saturates": info.tally.saturates,
                         "fails": info.tally.fails,
-                        "representative_graph6": _class_representative(result, canon),
+                        "representative_graph6": (
+                            None
+                            if info.representative is None
+                            else graphmod.to_graph6(info.representative)
+                        ),
                     }
                 )
             _write(args.output, json.dumps({"n": args.classes, "classes": records},
@@ -261,17 +266,6 @@ def cmd_census(args) -> int:
         _write(args.output, json.dumps(report, sort_keys=True, indent=1) + "\n")
         return EXIT_OK
     raise UsageError("census needs one of --table14/--classes/--scan-four-star/--scan-intersection")
-
-
-def _class_representative(result, canon) -> str | None:
-    """graph6 of some graph realizing a vector in the class, if known."""
-    for vals, graph in result.representatives.items():
-        if graph is None:
-            continue
-        ev = entmod.EntropyVector(result.n, vals)
-        if entmod.canonicalize(ev).values == canon:
-            return graphmod.to_graph6(graph)
-    return None
 
 
 def cmd_report(args) -> int:

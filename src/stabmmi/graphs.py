@@ -19,6 +19,7 @@ from .gf2 import BitMatrix, rank
 __all__ = [
     "Graph",
     "from_edges",
+    "from_edge_mask",
     "local_complement",
     "lc_orbit",
     "submatrix",
@@ -217,18 +218,23 @@ def from_json(text: str) -> Graph:
     return from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
 
 
+def from_edge_mask(n: int, mask: int) -> Graph:
+    """The graph whose edge set is bit e of mask for the e-th vertex pair
+    (v, w), v < w, in lexicographic order."""
+    pairs = list(combinations(range(n), 2))
+    adj = [0] * n
+    while mask:
+        low = mask & -mask
+        v, w = pairs[low.bit_length() - 1]
+        adj[v] |= 1 << w
+        adj[w] |= 1 << v
+        mask ^= low
+    return Graph(n, tuple(adj))
+
+
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """Every labeled simple graph on n vertices, ascending edge-mask order."""
     if not 1 <= n <= 8:
         raise ValueError("graph enumeration capped at n ≤ 8")
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        adj = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            v, w = pairs[low.bit_length() - 1]
-            adj[v] |= 1 << w
-            adj[w] |= 1 << v
-            m ^= low
-        yield Graph(n, tuple(adj))
+    for mask in range(1 << (n * (n - 1) // 2)):
+        yield from_edge_mask(n, mask)

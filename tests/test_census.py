@@ -5,7 +5,8 @@ import pytest
 
 from stabmmi import census as C
 from stabmmi import graphs as graphmod
-from stabmmi.entropy import EntropyVector, mmi_tally
+from stabmmi.entropy import EntropyVector, canonicalize, entropy_vector, mmi_tally
+from stabmmi.gf2 import BitMatrix
 from stabmmi.graphs import from_edges
 from stabmmi.tableau import Tableau
 
@@ -43,8 +44,6 @@ def test_single_qubit_groups():
 
 
 def test_support_counting_matches_rank_entropies():
-    from stabmmi.entropy import entropy_vector
-
     rng = random.Random(61)
     for t in list(C.enumerate_stabilizer_groups(3))[::7]:
         assert C.tableau_entropy_values(t) == entropy_vector(t).values
@@ -61,40 +60,41 @@ def test_support_counting_matches_rank_entropies():
 
 
 def test_numpy_graph_batch_matches_python():
+    """Kernel rows of an edge-mask window equal the rank-per-mask oracle."""
     for n in (6, 7):
         start = 1234
-        vals = C._graph_batch_values(n, start, start + 64)
+        vals = C._graph_rows(n, start, start + 64)
+        assert vals.shape == (64, (1 << n) - 1)
         for offset in range(64):
-            g = _graph_from_mask(n, start + offset)
-            assert tuple(vals[offset]) == C.graph_entropy_values(g)
-
-
-def _graph_from_mask(n, mask):
-    from itertools import combinations
-
-    pairs = list(combinations(range(n), 2))
-    edges = [
-        (pairs[e][0] + 1, pairs[e][1] + 1) for e in range(len(pairs)) if (mask >> e) & 1
-    ]
-    return from_edges(n, edges)
+            g = graphmod.from_edge_mask(n, start + offset)
+            assert tuple(vals[offset].tolist()) == entropy_vector(g).values
 
 
 def test_numpy_group_batch_matches_python():
-    n, t = 6, 3
-    rows, pivots = next(iter(C._rref_matrices(n, t)))
-    vals = C._group_batch_values(n, rows, pivots, 0, 64)
-    kernel = C._kernel_basis(rows, pivots, n)
-    tri = [(i, j) for i in range(t) for j in range(i, t)]
-    for bits in range(64):
-        a = [[0] * t for _ in range(t)]
-        for s, (i, j) in enumerate(tri):
-            if (bits >> s) & 1:
-                a[i][j] = a[j][i] = 1
-        x_rows = list(rows) + [0] * (n - t)
-        z_rows = [
-            sum(a[i][j] << pivots[j] for j in range(t)) for i in range(t)
-        ] + kernel
-        assert tuple(vals[bits]) == C._support_entropy_values(x_rows, z_rows, n)
+    """Kernel rows of every group chunk equal the rank-per-mask oracle, in
+    the order enumerate_stabilizer_groups reads the same producer."""
+    for n in (1, 2, 3, 4):
+        rows = np.concatenate(
+            [C._entropy_rows(chunk[:, 0], chunk[:, 1]) for chunk in C._group_chunks(n)]
+        )
+        groups = list(C.enumerate_stabilizer_groups(n))
+        assert rows.shape == (C.stabilizer_group_count(n), (1 << n) - 1)
+        for row, t in zip(rows, groups):
+            assert tuple(row.tolist()) == entropy_vector(t).values
+
+
+def test_packed_group_chunk_matches_rank_entropies():
+    """One full n = 6 chunk packs many X-part subspaces into one kernel call."""
+    n = 6
+    chunk = next(C._group_chunks(n))
+    assert chunk.shape == (C.CHUNK, 2, n)
+    x_parts = {tuple(gens) for gens in chunk[:, 0].tolist()}
+    assert len(x_parts) > 100  # one X-part per subspace
+    rows = C._entropy_rows(chunk[:, 0], chunk[:, 1])
+    for b in range(0, C.CHUNK, 13):
+        x_rows, z_rows = chunk[b].tolist()
+        t = Tableau(n, BitMatrix(tuple(x_rows), n), BitMatrix(tuple(z_rows), n))
+        assert tuple(rows[b].tolist()) == entropy_vector(t).values
 
 
 def test_vector_census_n4():
@@ -106,6 +106,17 @@ def test_vector_census_n4():
     failing = [info for info in result.classes.values() if info.tally.fails]
     assert len(failing) == 1
     assert failing[0].state_count == 2592
+
+
+def test_census_classes_match_canonicalize_oracle():
+    """Census classes are the relabeling orbits entropy.canonicalize finds."""
+    for n in (3, 4, 5):
+        result = C.vector_census(n, source="graphs")
+        oracle = {}
+        for vals, cnt in result.vectors.items():
+            canon = canonicalize(EntropyVector(n, vals)).values
+            oracle[canon] = oracle.get(canon, 0) + cnt
+        assert {k: v.state_count for k, v in result.classes.items()} == oracle
 
 
 def test_graphs_and_groups_same_vector_sets():

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from stabmmi import cli
+from stabmmi import census, cli
+from stabmmi.entropy import EntropyVector, canonicalize
 from stabmmi.graphs import from_edges, to_graph6, to_json
 
 
@@ -75,6 +80,15 @@ def test_mmi_skip_full_union(run, tmp_path):
     code, out, _ = run("mmi", str(p), "--skip-full-union")
     rows = [ln for ln in out.strip().splitlines()[1:] if not ln.startswith("tally")]
     assert rows == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_mmi_fewer_than_three_qubits(run, tmp_path, n):
+    p = tmp_path / "small.json"
+    p.write_text(json.dumps({"n": n, "edges": [[1, 2]] if n == 2 else []}))
+    code, out, err = run("mmi", str(p))
+    assert code == 0, err
+    assert out == "instance-I,instance-J,instance-K,outcome\ntally,0,0,0\n"
 
 
 def test_circuit_ghz_round_trip(run, tmp_path):
@@ -168,6 +182,49 @@ def test_census_usage_error(run):
 def test_census_cap_exceeded(run):
     code, _, err = run("census", "--table14", "7")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--table14", "0"], ["--table14", "-1"], ["--classes", "0"]],
+    ids=["table14-0", "table14-negative", "classes-0"],
+)
+def test_census_size_below_one(run, argv):
+    code, out, err = run("census", *argv)
+    assert code == 3
+    assert out == ""
+    assert "cap exceeded" in err
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_class_representative_is_first_member_graph(run, n):
+    """Each class's representative is the graph of the first vector, in
+    census order, whose canonical form is the class's vector."""
+    code, out, _ = run("census", "--classes", str(n), "--source", "graphs", "--json")
+    assert code == 0
+    result = census.vector_census(n, source="graphs")
+    for rec in json.loads(out)["classes"]:
+        canon = tuple(rec["canonical_vector"])
+        first = next(
+            graph
+            for vals, graph in result.representatives.items()
+            if canonicalize(EntropyVector(n, vals)).values == canon
+        )
+        assert rec["representative_graph6"] == to_graph6(first)
+
+
+@pytest.mark.parametrize("module", ["stabmmi", "stabmmi.cli"])
+def test_module_entry_points(module):
+    src = Path(census.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", module, "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: stabmmi")
+    assert proc.stderr == ""
 
 
 def test_report_pages_and_links(run, tmp_path):
