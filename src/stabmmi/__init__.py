@@ -5,7 +5,7 @@ Submodules:
     gf2      — bit-packed GF(2) matrices and subspace lattice operations
     tableau  — stabilizer tableaux, Clifford updates, rank entropies
     graphs   — graph states, local complementation, LC orbits, graph6 I/O
-    entropy  — entropy vectors, MMI instances, tallies, canonicalization
+    entropy  — entropy-vector kernel, MMI instances, tallies, canonicalization
     star     — generalized-star partitions and column-space classification
     census   — exhaustive graph/group censuses and conjecture scans
     cli      — the `stabmmi` command-line tool

@@ -1,13 +1,11 @@
 """Exhaustive censuses of labeled graphs and unsigned stabilizer groups.
 
 Entropy vectors are aggregated into distinct-vector sets and qubit-exchange
-classes with MMI tallies.  Every census entropy vector comes from one
-support-counting kernel: for a stabilizer group S, the number of elements
-supported inside A is 2^(|A| − S_A) (Fattal et al., quant-ph/0406168), so a
-histogram of the 2^n element supports plus a subset-sum (zeta) transform
-yields every subsystem entropy at once.  The kernel works on numpy batches of
-generator rows; labeled graphs (x = identity, z = adjacency) and stabilizer
-groups are both fed to it in fixed-size chunks.
+classes with MMI tallies.  Every census entropy vector comes from the
+support-counting kernel of `entropy`: labeled graphs (x = identity,
+z = adjacency) and stabilizer groups are both fed to it in fixed-size chunks
+of generator rows.  Exchange classes are minimised over the relabeling
+tables of `entropy`, each relabeling orbit once.
 
 Unsigned stabilizer groups are enumerated through an exact parametrization:
 a maximal symplectically self-orthogonal subspace of Z_2^{2n} is determined
@@ -21,15 +19,16 @@ from __future__ import annotations
 import multiprocessing
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations
 
 import numpy as np
 
 from . import graphs as graphmod
 from . import star as starmod
-from .entropy import EntropyVector, MmiTally, mmi_tally
+from .entropy import EntropyVector, MmiTally, mmi_tally, relabeled, relabelings
+from .entropy import _entropy_rows, _index_bits
 from .gf2 import BitMatrix, rref
-from .graphs import Graph, enumerate_graphs
+from .graphs import CapExceeded, Graph, enumerate_graphs
 from .tableau import Tableau
 
 __all__ = [
@@ -95,65 +94,7 @@ def stabilizer_group_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# support-counting kernel
-
-
-def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Entropy rows from batches of generator rows.
-
-    x and z have shape (B, n): entry [b, i] is the X- or Z-bitmask of
-    generator i of group b.  Returns uint8 rows of shape (B, 2^n − 1) whose
-    entry m − 1 is S_A for the nonempty mask m = A.  Work arrays are laid out
-    mask-major, (2^n, B), so every slice below is a contiguous block; they
-    are int32, which holds B·2^n < 2^31.
-    """
-    batch, n = z.shape
-    size = 1 << n
-    # element s is the product of the generators in bitmask s; its support
-    # is the union of its X- and Z-parts
-    x = np.asarray(x, dtype=np.int32).T
-    z = np.asarray(z, dtype=np.int32).T
-    x_parts = np.zeros((size, batch), dtype=np.int32)
-    z_parts = np.zeros((size, batch), dtype=np.int32)
-    for i in range(n):
-        np.bitwise_xor(x_parts[: 1 << i], x[i], out=x_parts[1 << i : 2 << i])
-        np.bitwise_xor(z_parts[: 1 << i], z[i], out=z_parts[1 << i : 2 << i])
-    # in place from here on: fresh arrays of this size cost more than the
-    # arithmetic; each support becomes its bincount slot, support·B + b
-    supports = x_parts
-    supports |= z_parts
-    supports *= batch
-    supports += np.arange(batch, dtype=np.int32)
-    counts = np.bincount(supports.ravel().astype(np.intp), minlength=size * batch)
-    counts = counts.reshape(size, batch)
-    # subset sums: counts[m] becomes the number of elements supported in m
-    for k in range(n):
-        half = counts.reshape(-1, 2, 1 << k, batch)
-        half[:, 1] += half[:, 0]
-    popcount = np.zeros(size, dtype=np.uint8)
-    for i in range(n):
-        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
-    log2 = np.zeros(size + 1, dtype=np.uint8)
-    log2[1 << np.arange(n + 1)] = np.arange(n + 1)
-    return (popcount[1:, None] - log2[counts[1:]]).T.copy()
-
-
-def _index_bits(index: np.ndarray, width: int) -> np.ndarray:
-    """Rows of the low `width` bits of each index, least significant first."""
-    return (index[:, None] >> np.arange(width)) & 1
-
-
-def graph_entropy_values(g: Graph) -> tuple[int, ...]:
-    """Entropy vector of a graph state (values for masks 1..2^n−1)."""
-    z = np.array([g.adj], dtype=np.int64)
-    x = 1 << np.arange(g.n, dtype=np.int64)[None, :]
-    return tuple(_entropy_rows(x, z)[0].tolist())
-
-
-def tableau_entropy_values(t: Tableau) -> tuple[int, ...]:
-    x = np.array([t.x.rows], dtype=np.int64)
-    z = np.array([t.z.rows], dtype=np.int64)
-    return tuple(_entropy_rows(x, z)[0].tolist())
+# entropy-row producers
 
 
 def _graph_rows(n: int, start: int, stop: int) -> np.ndarray:
@@ -239,7 +180,7 @@ def _group_chunks(n: int):
     """The blocks of `_subspace_blocks`, packed into chunks of CHUNK groups
     (the last one shorter), so small subspaces share one kernel call."""
     if not 1 <= n <= 6:
-        raise ValueError("group enumeration capped at 1 ≤ n ≤ 6")
+        raise CapExceeded("group enumeration capped at 1 ≤ n ≤ 6")
     pending: list[np.ndarray] = []
     held = 0
     for block in _subspace_blocks(n):
@@ -328,16 +269,8 @@ def _vector_counts_groups(n: int) -> dict[bytes, tuple[int, int]]:
 # canonicalization and census aggregation
 
 
-def _perm_table(n: int) -> np.ndarray:
-    """Entry [p, m − 1] is the index of mask m after qubit relabeling p, which
-    moves bit v to bit p[v] (as `entropy.permute_mask`)."""
-    perms = np.array(list(permutations(range(n))), dtype=np.int32)
-    masks = _index_bits(np.arange(1, 1 << n), n).astype(np.int32)
-    return (1 << perms) @ masks.T - 1
-
-
 def _canonical_values(
-    key: bytes, table: np.ndarray, known: dict[bytes, tuple[int, ...]]
+    key: bytes, tables: list[np.ndarray], known: dict[bytes, tuple[int, ...]]
 ) -> tuple[int, ...]:
     """Lexicographic minimum of a value row over all qubit relabelings.
 
@@ -346,10 +279,9 @@ def _canonical_values(
     """
     canon = known.get(key)
     if canon is None:
-        orbit = np.frombuffer(key, dtype=np.uint8)[table]
-        members = orbit.view(np.dtype((np.void, orbit.shape[1]))).ravel().tolist()
-        canon = tuple(min(members))
-        known.update(dict.fromkeys(members, canon))
+        orbit = set(chain.from_iterable(relabeled(key, tables)))
+        canon = tuple(min(orbit))
+        known.update(dict.fromkeys(orbit, canon))
     return canon
 
 
@@ -359,7 +291,7 @@ def vector_census(
     """Distinct entropy vectors and exchange classes over one source family."""
     if source == "graphs":
         if not 1 <= n <= 8 or (n == 8 and not allow_heavy):
-            raise ValueError("graph census capped at 1 ≤ n ≤ 7 (8 with allow_heavy)")
+            raise CapExceeded("graph census capped at 1 ≤ n ≤ 7 (8 with allow_heavy)")
         raw = _vector_counts_graphs(n, jobs)
         reps = {
             tuple(key): graphmod.from_edge_mask(n, first) for key, (_c, first) in raw.items()
@@ -371,12 +303,12 @@ def vector_census(
         raise ValueError(f"unknown source {source!r}")
     vectors = {tuple(key): cnt for key, (cnt, _first) in raw.items()}
 
-    table = _perm_table(n)
+    tables = list(relabelings(n))
     known: dict[bytes, tuple[int, ...]] = {}
     classes: dict[tuple[int, ...], ClassInfo] = {}
     multiplier = (1 << n) if source == "groups" else 1
     for vals, cnt in vectors.items():
-        canon = _canonical_values(bytes(vals), table, known)
+        canon = _canonical_values(bytes(vals), tables, known)
         info = classes.get(canon)
         if info is None:
             tally = mmi_tally(EntropyVector(n, canon))
@@ -442,7 +374,7 @@ def four_star_conjecture_scan(n: int, budget: int = 10**6, jobs: int = 1) -> dic
     """For every MMI-failing entropy vector, search a realizing graph's LC
     orbit for an induced four-star; counterexamples are expected empty."""
     if n > 8:
-        raise ValueError("scan capped at n ≤ 8")
+        raise CapExceeded("scan capped at n ≤ 8")
     if n < 4:
         return {"n": n, "failing_vectors": 0, "witnesses": [], "counterexamples": []}
     raw = _vector_counts_graphs(n, jobs)
@@ -491,7 +423,7 @@ def nontrivial_intersection_scan(n: int, jobs: int = 1) -> dict:
     some MMI instance.  Only graphs whose vector fails nothing need the
     partition search; any hit there is a counterexample."""
     if not 1 <= n <= 7:
-        raise ValueError("scan capped at 1 ≤ n ≤ 7")
+        raise CapExceeded("scan capped at 1 ≤ n ≤ 7")
     counterexamples = []
     searched = 0
     fails_cache: dict[bytes, bool] = {}

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: entropy, mmi, circuit, classify, census, report.
+The per-state commands (entropy, mmi, circuit, classify) take 1 to 8 qubits.
 Exit codes: 0 success, 1 usage error, 2 input parse error,
-3 budget/cap exceeded, 4 internal invariant violation.
+3 size cap exceeded, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+# qubit cap of the per-state commands: the paper's largest size
+MAX_QUBITS = 8
 
 
 class UsageError(Exception):
@@ -74,8 +78,14 @@ def load_source(path: str, fmt: str | None = None):
     raise UsageError(f"cannot infer format of {path}; pass --format g6|json|txt")
 
 
+def _check_qubits(n: int) -> None:
+    if not 1 <= n <= MAX_QUBITS:
+        raise graphmod.CapExceeded(f"per-state commands take 1 to {MAX_QUBITS} qubits, got {n}")
+
+
 def cmd_entropy(args) -> int:
     source = load_source(args.input, args.format)
+    _check_qubits(source.n)
     ev = entmod.entropy_vector(source)
     canon = entmod.canonicalize(ev)
     print(ev.to_json(canonical=False))
@@ -85,6 +95,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_mmi(args) -> int:
     source = load_source(args.input, args.format)
+    _check_qubits(source.n)
     ev = entmod.entropy_vector(source)
     include = not args.skip_full_union
     print("instance-I,instance-J,instance-K,outcome")
@@ -97,10 +108,7 @@ def cmd_mmi(args) -> int:
             f"{_render_subset(inst.i)},{_render_subset(inst.j)},"
             f"{_render_subset(inst.k)},{outcome.value}"
         )
-    print(
-        f"tally,{counts[entmod.MmiOutcome.SATISFIES]},"
-        f"{counts[entmod.MmiOutcome.SATURATES]},{counts[entmod.MmiOutcome.FAILS]}"
-    )
+    print("tally," + ",".join(str(counts[outcome]) for outcome in entmod.MmiOutcome))
     return EXIT_OK
 
 
@@ -135,6 +143,7 @@ def cmd_circuit(args) -> int:
             _, operands = _parse_gate_line(ln, lineno)
             hi = max(hi, *operands)
         n = max(hi, 1)
+    _check_qubits(n)
     t = tabmod.zero_state(n)
     instances = entmod.mmi_instances(n) if n >= 3 else []
     ev = entmod.entropy_vector(t)
@@ -176,6 +185,7 @@ def _render_rank_vector(rv) -> str:
 
 def cmd_classify(args) -> int:
     g = load_source(args.input, args.format)
+    _check_qubits(g.n)
     if not isinstance(g, graphmod.Graph):
         raise ParseError("classify needs a graph input")
     if args.partition:
@@ -338,7 +348,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("circuit", help="apply a gate script to |0...0>")
     p.add_argument("script", help="text file of 'H a' | 'S a' | 'CNOT a b' | 'CZ a b'")
-    p.add_argument("-n", type=int, help="qubit count (default: highest index used)")
+    p.add_argument("-n", type=int, help="qubit count, 1 to 8 (default: highest used)")
     p.set_defaults(func=cmd_circuit)
 
     p = sub.add_parser("classify", help="generalized-star classification JSON")
@@ -380,13 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except RuntimeError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+    except graphmod.CapExceeded as exc:
+        print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, AssertionError) as exc:
-        if "cap" in str(exc) or "budget" in str(exc):
-            print(f"cap exceeded: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
+    except (ValueError, AssertionError, RuntimeError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -3,14 +3,24 @@ canonicalization.
 
 Subsets of qubits are bitmasks with qubit t at bit t−1.  An entropy vector
 stores S_A for every nonempty mask A; entries are exact naturals (bits).
+
+Every entropy vector comes from one support-counting kernel, `_entropy_rows`,
+which maps numpy batches of generator rows to value rows: one row for
+`entropy_vector`, chunks of thousands for the censuses.  The rank-per-mask
+`graphs.entropy` and `tableau.entropy` are its test oracle.  Qubit
+relabelings act on value rows through index tables of RELABEL_BLOCK
+relabelings each, which bounds the memory of a canonicalization.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import islice, permutations
 import json
+
+import numpy as np
 
 from . import graphs as graphmod
 from . import tableau as tabmod
@@ -24,8 +34,13 @@ __all__ = [
     "mmi_instances",
     "evaluate_mmi",
     "mmi_tally",
+    "relabelings",
+    "relabeled",
     "canonicalize",
 ]
+
+# qubit relabelings per index table
+RELABEL_BLOCK = 720
 
 
 class MmiOutcome(Enum):
@@ -103,17 +118,65 @@ class MmiTally:
         return (self.satisfies, self.saturates, self.fails)
 
 
+def _index_bits(index: np.ndarray, width: int) -> np.ndarray:
+    """Rows of the low `width` bits of each index, least significant first."""
+    return (index[:, None] >> np.arange(width)) & 1
+
+
+def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Entropy rows from batches of generator rows.
+
+    For a stabilizer group S, the number of elements supported inside A is
+    2^(|A| − S_A) (Fattal et al., quant-ph/0406168), so a histogram of the
+    2^n element supports plus a subset-sum (zeta) transform yields every
+    subsystem entropy at once.
+
+    x and z have shape (B, n): entry [b, i] is the X- or Z-bitmask of
+    generator i of group b.  Returns uint8 rows of shape (B, 2^n − 1) whose
+    entry m − 1 is S_A for the nonempty mask m = A.  Work arrays are laid out
+    mask-major, (2^n, B), so every slice below is a contiguous block; they
+    are int32, which holds B·2^n < 2^31.
+    """
+    batch, n = z.shape
+    size = 1 << n
+    # element s is the product of the generators in bitmask s; its support
+    # is the union of its X- and Z-parts
+    x = np.asarray(x, dtype=np.int32).T
+    z = np.asarray(z, dtype=np.int32).T
+    x_parts = np.zeros((size, batch), dtype=np.int32)
+    z_parts = np.zeros((size, batch), dtype=np.int32)
+    for i in range(n):
+        np.bitwise_xor(x_parts[: 1 << i], x[i], out=x_parts[1 << i : 2 << i])
+        np.bitwise_xor(z_parts[: 1 << i], z[i], out=z_parts[1 << i : 2 << i])
+    # in place from here on: fresh arrays of this size cost more than the
+    # arithmetic; each support becomes its bincount slot, support·B + b
+    supports = x_parts
+    supports |= z_parts
+    supports *= batch
+    supports += np.arange(batch, dtype=np.int32)
+    counts = np.bincount(supports.ravel().astype(np.intp), minlength=size * batch)
+    counts = counts.reshape(size, batch)
+    # subset sums: counts[m] becomes the number of elements supported in m
+    for k in range(n):
+        half = counts.reshape(-1, 2, 1 << k, batch)
+        half[:, 1] += half[:, 0]
+    popcount = _index_bits(np.arange(size), n).sum(axis=1).astype(np.uint8)
+    log2 = np.zeros(size + 1, dtype=np.uint8)
+    log2[1 << np.arange(n + 1)] = np.arange(n + 1)
+    return (popcount[1:, None] - log2[counts[1:]]).T.copy()
+
+
 def entropy_vector(source) -> EntropyVector:
-    """Full entropy vector of a Graph or a Tableau."""
+    """Full entropy vector of a Graph (x = identity, z = adjacency) or a
+    Tableau, as one kernel row."""
     if isinstance(source, graphmod.Graph):
-        n = source.n
-        vals = [graphmod.entropy(source, m) for m in range(1, (1 << n) - 1)] + [0]
+        x, z = [1 << v for v in range(source.n)], source.adj
     elif isinstance(source, tabmod.Tableau):
-        n = source.n
-        vals = [tabmod.entropy(source, m) for m in range(1, 1 << n)]
+        x, z = source.x.rows, source.z.rows
     else:
         raise TypeError(f"unsupported source {type(source).__name__}")
-    return EntropyVector(n, tuple(vals))
+    row = _entropy_rows(np.array([x]), np.array([z]))[0]
+    return EntropyVector(source.n, tuple(row.tolist()))
 
 
 def _submasks(mask: int):
@@ -159,31 +222,33 @@ def evaluate_mmi(ev: EntropyVector, inst: MmiInstance) -> MmiOutcome:
 
 
 def mmi_tally(ev: EntropyVector, include_full_union: bool = True) -> MmiTally:
-    counts = {MmiOutcome.SATISFIES: 0, MmiOutcome.SATURATES: 0, MmiOutcome.FAILS: 0}
     instances = mmi_instances(ev.n, include_full_union) if ev.n >= 3 else []
-    for inst in instances:
-        counts[evaluate_mmi(ev, inst)] += 1
-    return MmiTally(
-        counts[MmiOutcome.SATISFIES], counts[MmiOutcome.SATURATES], counts[MmiOutcome.FAILS]
-    )
+    counts = Counter(evaluate_mmi(ev, inst) for inst in instances)
+    return MmiTally(*(counts[outcome] for outcome in MmiOutcome))
 
 
-def permute_mask(mask: int, perm: tuple[int, ...]) -> int:
-    """Relabel mask bits: bit v goes to bit perm[v]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+def relabelings(n: int):
+    """Index tables of every qubit relabeling, RELABEL_BLOCK rows per table.
+
+    Entry [p, m − 1] is the index of mask m after relabeling p, which moves
+    bit v to bit p[v]; indexing a value row by a table relabels it.
+    """
+    masks = _index_bits(np.arange(1, 1 << n), n)
+    dtype = np.min_scalar_type((1 << n) - 2)
+    perms = permutations(range(n))
+    while block := list(islice(perms, RELABEL_BLOCK)):
+        yield ((1 << np.array(block)) @ masks.T - 1).astype(dtype)
+
+
+def relabeled(row: bytes, tables):
+    """The value row (bytes, one per nonempty mask) under the relabelings of
+    each table: one list of bytes per table."""
+    values = np.frombuffer(row, dtype=np.uint8)
+    for table in tables:
+        yield values[table].view(np.dtype((np.void, table.shape[1]))).ravel().tolist()
 
 
 def canonicalize(ev: EntropyVector) -> EntropyVector:
     """Minimum over all qubit relabelings of the mask-ordered value tuple."""
-    n = ev.n
-    best = ev.values
-    for perm in permutations(range(n)):
-        cand = tuple(ev.values[permute_mask(m, perm) - 1] for m in range(1, 1 << n))
-        if cand < best:
-            best = cand
-    return EntropyVector(n, best)
+    best = min(min(rows) for rows in relabeled(bytes(ev.values), relabelings(ev.n)))
+    return EntropyVector(ev.n, tuple(best))

@@ -125,25 +125,13 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
                 rows[i] ^= rows[r]
         pivots.append(c)
         r += 1
+        if r == len(rows):
+            break
     return BitMatrix(tuple(rows[:r]), m.cols), pivots
 
 
 def rank(m: BitMatrix) -> int:
-    rows = list(m.rows)
-    r = 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, len(rows)) if (rows[i] >> c) & 1), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        piv = rows[r]
-        for i in range(r + 1, len(rows)):
-            if (rows[i] >> c) & 1:
-                rows[i] ^= piv
-        r += 1
-        if r == len(rows):
-            break
-    return r
+    return len(rref(m)[1])
 
 
 @dataclass(frozen=True)
@@ -235,7 +223,7 @@ def is_distributive(u: Subspace, v: Subspace, w: Subspace) -> bool:
     """Whether (u∩w + v∩w) == (u+v)∩w, checked in all three arrangements.
 
     The single identity is conjecturally permutation-invariant; all three
-    are evaluated and their agreement asserted rather than assumed.
+    are evaluated, and AssertionError is raised if they disagree.
     """
     _check_ambient(u, v)
     _check_ambient(u, w)
@@ -244,5 +232,6 @@ def is_distributive(u: Subspace, v: Subspace, w: Subspace) -> bool:
         return sum_spaces(intersect(a, c), intersect(b, c)) == intersect(sum_spaces(a, b), c)
 
     results = (one(u, v, w), one(w, v, u), one(u, w, v))
-    assert len(set(results)) == 1, "distributivity disagreed across permutations"
+    if len(set(results)) != 1:
+        raise AssertionError("distributivity disagreed across permutations")
     return results[0]

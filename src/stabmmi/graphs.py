@@ -17,6 +17,7 @@ from typing import Iterable, Iterator
 from .gf2 import BitMatrix, rank
 
 __all__ = [
+    "CapExceeded",
     "Graph",
     "from_edges",
     "from_edge_mask",
@@ -31,6 +32,10 @@ __all__ = [
     "to_json",
     "from_json",
 ]
+
+
+class CapExceeded(ValueError):
+    """A requested size lies outside a documented cap."""
 
 
 @dataclass(frozen=True)
@@ -235,6 +240,6 @@ def from_edge_mask(n: int, mask: int) -> Graph:
 def enumerate_graphs(n: int) -> Iterator[Graph]:
     """Every labeled simple graph on n vertices, ascending edge-mask order."""
     if not 1 <= n <= 8:
-        raise ValueError("graph enumeration capped at n ≤ 8")
+        raise CapExceeded("graph enumeration capped at n ≤ 8")
     for mask in range(1 << (n * (n - 1) // 2)):
         yield from_edge_mask(n, mask)

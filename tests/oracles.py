@@ -6,6 +6,7 @@ deliberately shares no code with stabmmi.
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import comb
 
 
@@ -46,6 +47,23 @@ def brute_sum(ambient: int, gens_u: list[int], gens_v: list[int]) -> set[int]:
 
 def brute_intersection(ambient: int, gens_u: list[int], gens_v: list[int]) -> set[int]:
     return span_elements(ambient, gens_u) & span_elements(ambient, gens_v)
+
+
+def brute_canonical(n: int, values: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest mask-ordered value tuple over all n! qubit relabelings,
+    moving each mask bit v to bit perm[v] one bit at a time."""
+    best = None
+    for perm in permutations(range(n)):
+        candidate = []
+        for mask in range(1, 1 << n):
+            moved = 0
+            for v in range(n):
+                if (mask >> v) & 1:
+                    moved |= 1 << perm[v]
+            candidate.append(values[moved - 1])
+        if best is None or tuple(candidate) < best:
+            best = tuple(candidate)
+    return best
 
 
 def stirling2(m: int, k: int) -> int:

@@ -137,7 +137,7 @@ def test_acceptance_04_taxonomy_and_colspace_equivalence():
     rng = random.Random(401)
     for _ in range(10_000):
         g, p = random_generalized_star(rng, rng.randint(4, 9))
-        ev = E.EntropyVector(g.n, C.graph_entropy_values(g))
+        ev = E.entropy_vector(g)
         direct = E.evaluate_mmi(ev, E.MmiInstance(p.c, p.i, p.j))
         assert ST.mmi_cij_colspace(g, p) == direct
 
@@ -225,12 +225,12 @@ def test_acceptance_08_graph_census_seven():
 @acceptance(9, budget_seconds=30)
 def test_acceptance_09_eight_qubit_spot_checks():
     star8 = G.from_edges(8, [(1, v) for v in range(2, 9)])
-    ev = E.EntropyVector(8, C.graph_entropy_values(star8))
+    ev = E.entropy_vector(star8)
     assert E.mmi_tally(ev).as_triple() == (0, 966, 6804)
     g33 = G.from_edges(
         8, [(1, 4), (2, 5), (3, 8), (4, 6), (5, 7), (6, 7), (6, 8), (7, 8)]
     )
-    ev33 = E.EntropyVector(8, C.graph_entropy_values(g33))
+    ev33 = E.entropy_vector(g33)
     assert E.mmi_tally(ev33).as_triple() == (4004, 3766, 0)
     assert len(E.mmi_instances(8)) == 7770
 
@@ -252,15 +252,13 @@ def test_acceptance_10_property_suites():
     for _ in range(10_000):
         g = rand_graph(rng.randint(2, 6))
         v = rng.randint(1, g.n)
-        assert C.graph_entropy_values(g) == C.graph_entropy_values(
-            G.local_complement(g, v)
-        )
+        assert E.entropy_vector(g) == E.entropy_vector(G.local_complement(g, v))
 
     # pure states: S_A equals S of the complement of A
     checked = 0
     while checked < 10_000:
         g = rand_graph(rng.randint(2, 7))
-        vals = C.graph_entropy_values(g)
+        vals = E.entropy_vector(g).values
         full = (1 << g.n) - 1
         for m in range(1, full + 1):
             comp = full ^ m
@@ -272,7 +270,7 @@ def test_acceptance_10_property_suites():
     checked = 0
     while checked < 10_000:
         g = rand_graph(rng.randint(3, 6))
-        ev = E.EntropyVector(g.n, C.graph_entropy_values(g))
+        ev = E.entropy_vector(g)
         for inst in E.mmi_instances(g.n):
             if inst.i | inst.j | inst.k == (1 << g.n) - 1:
                 assert E.evaluate_mmi(ev, inst) == E.MmiOutcome.SATURATES

@@ -5,12 +5,19 @@ import pytest
 
 from stabmmi import census as C
 from stabmmi import graphs as graphmod
-from stabmmi.entropy import EntropyVector, canonicalize, entropy_vector, mmi_tally
+from stabmmi import tableau as tabmod
+from stabmmi.entropy import EntropyVector, _entropy_rows, entropy_vector, mmi_tally
 from stabmmi.gf2 import BitMatrix
-from stabmmi.graphs import from_edges
+from stabmmi.graphs import CapExceeded, enumerate_graphs, from_edges
 from stabmmi.tableau import Tableau
 
-from oracles import brute_lagrangians, span_elements
+from oracles import brute_canonical, brute_lagrangians, span_elements
+
+
+def rank_entropies(source) -> tuple[int, ...]:
+    """S_A for every nonempty mask, one GF(2) rank per mask."""
+    module = graphmod if isinstance(source, graphmod.Graph) else tabmod
+    return tuple(module.entropy(source, m) for m in range(1, 1 << source.n))
 
 
 def test_group_count_formula():
@@ -46,7 +53,7 @@ def test_single_qubit_groups():
 def test_support_counting_matches_rank_entropies():
     rng = random.Random(61)
     for t in list(C.enumerate_stabilizer_groups(3))[::7]:
-        assert C.tableau_entropy_values(t) == entropy_vector(t).values
+        assert entropy_vector(t).values == rank_entropies(t)
     for _ in range(25):
         n = rng.randint(2, 6)
         edges = [
@@ -56,7 +63,7 @@ def test_support_counting_matches_rank_entropies():
             if rng.random() < 0.5
         ]
         g = from_edges(n, edges)
-        assert C.graph_entropy_values(g) == entropy_vector(g).values
+        assert entropy_vector(g).values == rank_entropies(g)
 
 
 def test_numpy_graph_batch_matches_python():
@@ -67,7 +74,7 @@ def test_numpy_graph_batch_matches_python():
         assert vals.shape == (64, (1 << n) - 1)
         for offset in range(64):
             g = graphmod.from_edge_mask(n, start + offset)
-            assert tuple(vals[offset].tolist()) == entropy_vector(g).values
+            assert tuple(vals[offset].tolist()) == rank_entropies(g)
 
 
 def test_numpy_group_batch_matches_python():
@@ -75,12 +82,12 @@ def test_numpy_group_batch_matches_python():
     the order enumerate_stabilizer_groups reads the same producer."""
     for n in (1, 2, 3, 4):
         rows = np.concatenate(
-            [C._entropy_rows(chunk[:, 0], chunk[:, 1]) for chunk in C._group_chunks(n)]
+            [_entropy_rows(chunk[:, 0], chunk[:, 1]) for chunk in C._group_chunks(n)]
         )
         groups = list(C.enumerate_stabilizer_groups(n))
         assert rows.shape == (C.stabilizer_group_count(n), (1 << n) - 1)
         for row, t in zip(rows, groups):
-            assert tuple(row.tolist()) == entropy_vector(t).values
+            assert tuple(row.tolist()) == rank_entropies(t)
 
 
 def test_packed_group_chunk_matches_rank_entropies():
@@ -90,11 +97,27 @@ def test_packed_group_chunk_matches_rank_entropies():
     assert chunk.shape == (C.CHUNK, 2, n)
     x_parts = {tuple(gens) for gens in chunk[:, 0].tolist()}
     assert len(x_parts) > 100  # one X-part per subspace
-    rows = C._entropy_rows(chunk[:, 0], chunk[:, 1])
+    rows = _entropy_rows(chunk[:, 0], chunk[:, 1])
     for b in range(0, C.CHUNK, 13):
         x_rows, z_rows = chunk[b].tolist()
         t = Tableau(n, BitMatrix(tuple(x_rows), n), BitMatrix(tuple(z_rows), n))
-        assert tuple(rows[b].tolist()) == entropy_vector(t).values
+        assert tuple(rows[b].tolist()) == rank_entropies(t)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: C.state_census(7),
+        lambda: C.vector_census(8, source="graphs"),
+        lambda: C.four_star_conjecture_scan(9),
+        lambda: C.nontrivial_intersection_scan(8),
+        lambda: next(enumerate_graphs(9)),
+    ],
+    ids=["groups", "graph-census", "four-star-scan", "intersection-scan", "enumerate-graphs"],
+)
+def test_caps_raise_cap_exceeded(call):
+    with pytest.raises(CapExceeded):
+        call()
 
 
 def test_vector_census_n4():
@@ -109,12 +132,12 @@ def test_vector_census_n4():
 
 
 def test_census_classes_match_canonicalize_oracle():
-    """Census classes are the relabeling orbits entropy.canonicalize finds."""
+    """Census classes are the relabeling orbits the brute-force loop finds."""
     for n in (3, 4, 5):
         result = C.vector_census(n, source="graphs")
         oracle = {}
         for vals, cnt in result.vectors.items():
-            canon = canonicalize(EntropyVector(n, vals)).values
+            canon = brute_canonical(n, vals)
             oracle[canon] = oracle.get(canon, 0) + cnt
         assert {k: v.state_count for k, v in result.classes.items()} == oracle
 
@@ -170,7 +193,7 @@ def test_intersection_scan_small():
     assert report["counterexamples"] == []
     star5 = from_edges(5, [(1, v) for v in range(2, 6)])
     assert C.has_nontrivial_partition(star5)
-    assert mmi_tally(EntropyVector(5, C.graph_entropy_values(star5))).fails > 0
+    assert mmi_tally(entropy_vector(star5)).fails > 0
     p6 = from_edges(6, [(v, v + 1) for v in range(1, 6)])
     assert not C.has_nontrivial_partition(p6)
 

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from stabmmi import census, cli
-from stabmmi.entropy import EntropyVector, canonicalize
 from stabmmi.graphs import from_edges, to_graph6, to_json
+
+from oracles import brute_canonical
 
 
 @pytest.fixture
@@ -196,6 +198,63 @@ def test_census_size_below_one(run, argv):
     assert "cap exceeded" in err
 
 
+def write_ring(tmp_path, n):
+    path = tmp_path / f"ring{n}.g6"
+    path.write_text(to_graph6(from_edges(n, [(v, v % n + 1) for v in range(1, n + 1)])) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["entropy"], ["mmi"], ["classify"], ["circuit", "-n", "20"]],
+    ids=["entropy", "mmi", "classify", "circuit-n"],
+)
+def test_per_state_cap(run, tmp_path, argv):
+    """A 20-qubit input exits 3 up front instead of running for hours."""
+    script = tmp_path / "h.txt"
+    script.write_text("H 1\n")
+    target = str(script) if argv[0] == "circuit" else write_ring(tmp_path, 20)
+    start = time.perf_counter()
+    code, out, err = run(argv[0], target, *argv[1:])
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out == ""
+    assert err.startswith("cap exceeded:")
+
+
+@pytest.mark.parametrize(
+    "error", [ValueError("cap budget"), AssertionError("cap"), RuntimeError("budget")]
+)
+def test_untyped_errors_are_internal(run, tmp_path, monkeypatch, error):
+    """Only CapExceeded exits 3, whatever another error's message says."""
+
+    def fail(source):
+        raise error
+
+    monkeypatch.setattr(cli.entmod, "entropy_vector", fail)
+    code, _, err = run("entropy", write_star4(tmp_path))
+    assert code == 4
+    assert err.startswith("internal invariant violation:")
+
+
+def test_per_state_cap_from_gate_indices(run, tmp_path):
+    script = tmp_path / "wide.txt"
+    script.write_text("H 1\nCNOT 1 20\n")
+    code, out, _ = run("circuit", str(script))
+    assert (code, out) == (3, "")
+    assert run("circuit", str(script), "-n", "0")[0] == 3
+
+
+@pytest.mark.parametrize("command", ["entropy", "mmi", "classify", "circuit"])
+def test_per_state_cap_admits_eight(run, tmp_path, command):
+    if command == "circuit":
+        script = tmp_path / "c8.txt"
+        script.write_text("H 1\nCNOT 1 8\n")
+        assert run("circuit", str(script))[0] == 0
+    else:
+        assert run(command, write_ring(tmp_path, 8))[0] == 0
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_class_representative_is_first_member_graph(run, n):
     """Each class's representative is the graph of the first vector, in
@@ -203,12 +262,13 @@ def test_class_representative_is_first_member_graph(run, n):
     code, out, _ = run("census", "--classes", str(n), "--source", "graphs", "--json")
     assert code == 0
     result = census.vector_census(n, source="graphs")
+    canon_of = {vals: brute_canonical(n, vals) for vals in result.representatives}
     for rec in json.loads(out)["classes"]:
         canon = tuple(rec["canonical_vector"])
         first = next(
             graph
             for vals, graph in result.representatives.items()
-            if canonicalize(EntropyVector(n, vals)).values == canon
+            if canon_of[vals] == canon
         )
         assert rec["representative_graph6"] == to_graph6(first)
 

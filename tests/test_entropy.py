@@ -16,7 +16,7 @@ from stabmmi.entropy import (
 )
 from stabmmi.graphs import from_edges
 
-from oracles import mmi_instance_count
+from oracles import brute_canonical, mmi_instance_count
 from test_tableau import ghz4, phi4, random_tableau
 
 
@@ -133,6 +133,19 @@ def test_canonicalize_idempotent():
         ev = entropy_vector(random_tableau(rng, rng.randint(2, 5)))
         canon = canonicalize(ev)
         assert canonicalize(canon) == canon
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_canonicalize_matches_brute_force(n):
+    """Random sparse graphs have few symmetries, so their relabeling orbits
+    are large; n = 7 spans several relabeling tables."""
+    rng = random.Random(45 + n)
+    for _ in range(2 if n == 7 else 6):
+        pairs = [(v, w) for v in range(1, n + 1) for w in range(v + 1, n + 1)]
+        ev = entropy_vector(from_edges(n, [e for e in pairs if rng.random() < 0.35]))
+        assert canonicalize(ev).values == brute_canonical(n, ev.values)
+    ev = entropy_vector(random_tableau(rng, n))
+    assert canonicalize(ev).values == brute_canonical(n, ev.values)
 
 
 def test_star_labelings_share_canonical_vector():

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from stabmmi import gf2
 from stabmmi.gf2 import (
     BitMatrix,
     BitVector,
@@ -199,6 +204,38 @@ def test_distributive_with_zero_space():
     u = Subspace.span(4, [0b0011])
     v = Subspace.span(4, [0b0101])
     assert is_distributive(u, v, Subspace.zero(4))
+
+
+# intersect() results that make the first two arrangements of
+# is_distributive disagree: 0 + 0 == 0, then 0 + 0 == a line
+DISAGREEING = """
+from stabmmi import gf2
+zero, line = gf2.Subspace.zero(2), gf2.Subspace.span(2, [1])
+answers = iter([zero, zero, zero, zero, zero, line, zero, zero, zero])
+gf2.intersect = lambda a, b: next(answers)
+try:
+    gf2.is_distributive(zero, zero, zero)
+except AssertionError as exc:
+    print(__debug__, exc)
+"""
+
+
+def test_distributive_disagreement_raises(monkeypatch):
+    zero, line = Subspace.zero(2), Subspace.span(2, [1])
+    answers = iter([zero, zero, zero, zero, zero, line, zero, zero, zero])
+    monkeypatch.setattr(gf2, "intersect", lambda a, b: next(answers))
+    with pytest.raises(AssertionError, match="disagreed"):
+        is_distributive(zero, zero, zero)
+
+
+def test_distributive_disagreement_raises_under_optimize():
+    src = Path(gf2.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DISAGREEING],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stdout == "False distributivity disagreed across permutations\n", proc.stderr
 
 
 def test_distributive_for_disjoint_basis_subsets():
