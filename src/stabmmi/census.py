@@ -12,6 +12,14 @@ a maximal symplectically self-orthogonal subspace of Z_2^{2n} is determined
 by the subspace T spanned by the X-parts of its elements together with a
 symmetric binary matrix over a basis of T.  Summing over dim T reproduces
 the product formula ∏(2^k + 1).
+
+The censuses produce only the groups whose symmetric matrix has a zero
+diagonal.  With the X-part in RREF, generator i is the only one with an X on
+its pivot qubit, so toggling diagonal entry i is the phase gate S on that
+qubit: a local unitary, which changes no subsystem entropy.  Each produced
+group therefore stands for 2^t groups, t = dim T, and its row is tallied
+with weight 2^t; ∏_{k<n}(1 + 2^k) rows cover all ∏(2^k + 1) groups.  For
+groups the first index in a tally counts produced rows, and is unused.
 """
 
 from __future__ import annotations
@@ -151,16 +159,17 @@ def _kernel_basis(rows, pivots, n: int) -> list[int]:
 
 
 def _subspace_blocks(n: int):
-    """Generator rows of every unsigned stabilizer group, as arrays of shape
-    (b, 2, n) holding x and z, one X-part subspace at a time.
+    """Generator rows of every unsigned stabilizer group with a zero-diagonal
+    symmetric matrix, as arrays of shape (b, 2, n) holding x and z, one
+    X-part subspace at a time.
 
     The group built on RREF rows with pivots p and symmetric t×t matrix a has
     x rows = rows (padded with zeros) and z rows = (a · pivot bits, kernel).
-    The index of a enumerates its upper triangle bit by bit, so its z rows
-    are a sum of per-bit weights, computed for CHUNK indices at a time.
+    The index of a enumerates its strict upper triangle bit by bit, so its
+    z rows are a sum of per-bit weights, computed for CHUNK indices at a time.
     """
     for t in range(n + 1):
-        tri = [(i, j) for i in range(t) for j in range(i, t)]
+        tri = [(i, j) for i in range(t) for j in range(i + 1, t)]
         total = 1 << len(tri)
         low_bits = _index_bits(np.arange(min(total, CHUNK)), len(tri))
         for rows, pivots in _rref_matrices(n, t):
@@ -196,30 +205,46 @@ def _group_chunks(n: int):
 
 
 def enumerate_stabilizer_groups(n: int):
-    """Each unsigned stabilizer group once, as a canonical-RREF Tableau."""
+    """Each unsigned stabilizer group once, as a canonical-RREF Tableau:
+    every produced group with each of its 2^t diagonals."""
     low = (1 << n) - 1
     for chunk in _group_chunks(n):
         for x_rows, z_rows in chunk.tolist():
-            combined = BitMatrix(
-                tuple(xr | (zr << n) for xr, zr in zip(x_rows, z_rows)), 2 * n
-            )
-            reduced, _ = rref(combined)
-            yield Tableau(
-                n,
-                BitMatrix(tuple(r & low for r in reduced.rows), n),
-                BitMatrix(tuple(r >> n for r in reduced.rows), n),
-            )
+            base = [xr | (zr << n) for xr, zr in zip(x_rows, z_rows)]
+            # diagonal entry i adds generator i's pivot, the lowest bit of
+            # x_i, to z_i; the t nonzero X-parts come first
+            flips = [(xr & -xr) << n for xr in x_rows if xr]
+            for diagonal in range(1 << len(flips)):
+                gens = base.copy()
+                for i, flip in enumerate(flips):
+                    if (diagonal >> i) & 1:
+                        gens[i] ^= flip
+                reduced, _ = rref(BitMatrix(tuple(gens), 2 * n))
+                yield Tableau(
+                    n,
+                    BitMatrix(tuple(r & low for r in reduced.rows), n),
+                    BitMatrix(tuple(r >> n for r in reduced.rows), n),
+                )
 
 
 # ---------------------------------------------------------------------------
 # distinct-vector tallies
 
 
-def _tally_rows(rows: np.ndarray, start: int) -> dict[bytes, tuple[int, int]]:
-    """Distinct rows in first-seen order -> (count, start + first row index)."""
+def _tally_rows(
+    rows: np.ndarray, start: int, weights: np.ndarray | None = None
+) -> dict[bytes, tuple[int, int]]:
+    """Distinct rows in first-seen order -> (count, start + first row index),
+    where row r counts weights[r] times if weights are given, else once."""
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    return {key: (cnt, start + first[key]) for key, cnt in Counter(keys).items()}
+    if weights is None:
+        counts = Counter(keys)
+    else:
+        counts = Counter()
+        for key, weight in zip(keys, weights.tolist()):
+            counts[key] += weight
+    return {key: (cnt, start + first[key]) for key, cnt in counts.items()}
 
 
 def _merge_tallies(parts) -> dict[bytes, tuple[int, int]]:
@@ -253,13 +278,15 @@ def _vector_counts_graphs(n: int, jobs: int = 1) -> dict[bytes, tuple[int, int]]
 def _vector_counts_groups(n: int) -> dict[bytes, tuple[int, int]]:
     """Distinct entropy vectors over all unsigned stabilizer groups.
 
-    Returns vector-bytes -> (group count, index of the first realizing group).
+    Returns vector-bytes -> (group count, index of the first produced row).
+    A produced row with t nonzero X-parts stands for its 2^t diagonals.
     """
 
     def parts():
         start = 0
         for chunk in _group_chunks(n):
-            yield _tally_rows(_entropy_rows(chunk[:, 0], chunk[:, 1]), start)
+            weights = 1 << np.count_nonzero(chunk[:, 0], axis=1)
+            yield _tally_rows(_entropy_rows(chunk[:, 0], chunk[:, 1]), start, weights)
             start += chunk.shape[0]
 
     return _merge_tallies(parts())
@@ -288,7 +315,10 @@ def _canonical_values(
 def vector_census(
     n: int, source: str = "graphs", jobs: int = 1, allow_heavy: bool = False
 ) -> CensusResult:
-    """Distinct entropy vectors and exchange classes over one source family."""
+    """Distinct entropy vectors and exchange classes over one source family.
+
+    `jobs` worker processes share the graph census; the group census runs
+    in one process, where a pool would cost more to start than it saves."""
     if source == "graphs":
         if not 1 <= n <= 8 or (n == 8 and not allow_heavy):
             raise CapExceeded("graph census capped at 1 ≤ n ≤ 7 (8 with allow_heavy)")
@@ -418,7 +448,7 @@ def has_nontrivial_partition(g: Graph) -> bool:
     )
 
 
-def nontrivial_intersection_scan(n: int, jobs: int = 1) -> dict:
+def nontrivial_intersection_scan(n: int) -> dict:
     """Verify: a nontrivial-intersection partition implies the state fails
     some MMI instance.  Only graphs whose vector fails nothing need the
     partition search; any hit there is a counterexample."""

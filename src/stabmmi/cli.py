@@ -99,16 +99,15 @@ def cmd_mmi(args) -> int:
     ev = entmod.entropy_vector(source)
     include = not args.skip_full_union
     print("instance-I,instance-J,instance-K,outcome")
-    counts = {o: 0 for o in entmod.MmiOutcome}
     instances = entmod.mmi_instances(ev.n, include) if ev.n >= 3 else []
-    for inst in instances:
-        outcome = entmod.evaluate_mmi(ev, inst)
-        counts[outcome] += 1
+    signs = entmod.mmi_signs(ev, include)
+    for inst, sign in zip(instances, signs.tolist()):
         print(
             f"{_render_subset(inst.i)},{_render_subset(inst.j)},"
-            f"{_render_subset(inst.k)},{outcome.value}"
+            f"{_render_subset(inst.k)},{entmod.MmiOutcome.of_sign(sign).value}"
         )
-    print("tally," + ",".join(str(counts[outcome]) for outcome in entmod.MmiOutcome))
+    tally = entmod.mmi_tally(ev, include).as_triple()
+    print("tally," + ",".join(map(str, tally)))
     return EXIT_OK
 
 
@@ -147,9 +146,8 @@ def cmd_circuit(args) -> int:
     t = tabmod.zero_state(n)
     instances = entmod.mmi_instances(n) if n >= 3 else []
     ev = entmod.entropy_vector(t)
-    outcomes = {inst: entmod.evaluate_mmi(ev, inst) for inst in instances}
-    rv = tabmod.rank_vector(t)
-    print("initial ranks: " + _render_rank_vector(rv))
+    signs = entmod.mmi_signs(ev)
+    print("initial ranks: " + _render_ranks(ev))
     for lineno, ln in lines:
         name, operands = _parse_gate_line(ln, lineno)
         try:
@@ -163,23 +161,24 @@ def cmd_circuit(args) -> int:
                 t = tabmod.apply_cz(t, *operands)
         except (IndexError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        rv = tabmod.rank_vector(t)
-        print(f"after {name} {' '.join(map(str, operands))}: " + _render_rank_vector(rv))
         ev = entmod.entropy_vector(t)
-        for inst in instances:
-            now = entmod.evaluate_mmi(ev, inst)
-            if now != outcomes[inst]:
-                print(
-                    f"  MMI({_render_subset(inst.i)};{_render_subset(inst.j)};"
-                    f"{_render_subset(inst.k)}): {outcomes[inst].value} -> {now.value}"
-                )
-                outcomes[inst] = now
+        print(f"after {name} {' '.join(map(str, operands))}: " + _render_ranks(ev))
+        now = entmod.mmi_signs(ev)
+        for idx in (now != signs).nonzero()[0].tolist():
+            inst = instances[idx]
+            print(
+                f"  MMI({_render_subset(inst.i)};{_render_subset(inst.j)};"
+                f"{_render_subset(inst.k)}): {entmod.MmiOutcome.of_sign(signs[idx]).value}"
+                f" -> {entmod.MmiOutcome.of_sign(now[idx]).value}"
+            )
+        signs = now
     return EXIT_OK
 
 
-def _render_rank_vector(rv) -> str:
+def _render_ranks(ev) -> str:
+    """The tableau rank R_A of every subsystem A, as S_A + |A|."""
     return " ".join(
-        f"{_render_subset(mask)}={rv[mask]}" for mask in sorted(rv.entries)
+        f"{_render_subset(mask)}={ev[mask] + mask.bit_count()}" for mask in range(1, 1 << ev.n)
     )
 
 
@@ -219,7 +218,7 @@ def _write(path: str | None, text: str) -> None:
 def cmd_census(args) -> int:
     jobs = args.jobs
     if args.table14 is not None:
-        row = censusmod.state_census(args.table14, jobs=jobs)
+        row = censusmod.state_census(args.table14)
         lines = [
             "n,total_states,saturate_all,satisfy_some_fail_none,fail_some,"
             "distinct_vectors,classes,failing_vectors",
@@ -365,7 +364,13 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=int, metavar="N")
     p.add_argument("--scan-four-star", type=int, metavar="N")
     p.add_argument("--scan-intersection", type=int, metavar="N")
-    p.add_argument("--jobs", type=int, default=int(os.environ.get("STABMMI_JOBS", "1")))
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=int(os.environ.get("STABMMI_JOBS", "1")),
+        help="worker processes for the graph census (--classes N --source graphs) and"
+        " --scan-four-star; the group census and --scan-intersection run in one process",
+    )
     p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--json", action="store_true", help="JSON output for --classes")
     p.add_argument("-o", "--output", help="output file (default stdout)")

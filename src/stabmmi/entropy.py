@@ -9,14 +9,16 @@ which maps numpy batches of generator rows to value rows: one row for
 `entropy_vector`, chunks of thousands for the censuses.  The rank-per-mask
 `graphs.entropy` and `tableau.entropy` are its test oracle.  Qubit
 relabelings act on value rows through index tables of RELABEL_BLOCK
-relabelings each, which bounds the memory of a canonicalization.
+relabelings each, which bounds the memory of a canonicalization.  MMI
+instances act on value rows through one cached index table per n, so a
+tally is one gather; the per-instance `evaluate_mmi` is its test oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import islice, permutations
 import json
 
@@ -33,6 +35,7 @@ __all__ = [
     "entropy_vector",
     "mmi_instances",
     "evaluate_mmi",
+    "mmi_signs",
     "mmi_tally",
     "relabelings",
     "relabeled",
@@ -47,6 +50,13 @@ class MmiOutcome(Enum):
     SATISFIES = "Satisfies"
     SATURATES = "Saturates"
     FAILS = "Fails"
+
+    @classmethod
+    def of_sign(cls, sign: int) -> "MmiOutcome":
+        """The outcome of an `mmi_signs` entry."""
+        if sign > 0:
+            return cls.SATISFIES
+        return cls.SATURATES if sign == 0 else cls.FAILS
 
 
 @dataclass(frozen=True)
@@ -221,10 +231,31 @@ def evaluate_mmi(ev: EntropyVector, inst: MmiInstance) -> MmiOutcome:
     return MmiOutcome.FAILS
 
 
+@cache
+def _mmi_table(n: int, include_full_union: bool) -> np.ndarray:
+    """Masks I|J, I|K, J|K, I, J, K, I|J|K of each MMI instance, one row per
+    instance in `mmi_instances` order (no rows for n < 3); read-only."""
+    instances = mmi_instances(n, include_full_union) if n >= 3 else []
+    table = np.array(
+        [(t.i | t.j, t.i | t.k, t.j | t.k, t.i, t.j, t.k, t.i | t.j | t.k) for t in instances],
+        dtype=np.intp,
+    ).reshape(-1, 7)
+    table.flags.writeable = False
+    return table
+
+
+def mmi_signs(ev: EntropyVector, include_full_union: bool = True) -> np.ndarray:
+    """Sign of S_IJ + S_IK + S_JK − (S_I + S_J + S_K + S_IJK) for every MMI
+    instance, in `mmi_instances` order: 1 satisfies, 0 saturates, −1 fails."""
+    s = np.array((0, *ev.values), dtype=np.int64)[_mmi_table(ev.n, include_full_union)]
+    return np.sign(s[:, :3].sum(axis=1) - s[:, 3:].sum(axis=1))
+
+
 def mmi_tally(ev: EntropyVector, include_full_union: bool = True) -> MmiTally:
-    instances = mmi_instances(ev.n, include_full_union) if ev.n >= 3 else []
-    counts = Counter(evaluate_mmi(ev, inst) for inst in instances)
-    return MmiTally(*(counts[outcome] for outcome in MmiOutcome))
+    fails, saturates, satisfies = np.bincount(
+        mmi_signs(ev, include_full_union) + 1, minlength=3
+    ).tolist()
+    return MmiTally(satisfies, saturates, fails)
 
 
 def relabelings(n: int):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -77,17 +78,49 @@ def test_numpy_graph_batch_matches_python():
             assert tuple(vals[offset].tolist()) == rank_entropies(g)
 
 
+def diagonal_variants(x_rows, z_rows):
+    """The group with each of its 2^t diagonals: phase gates on the pivot
+    qubits of its t generators with a nonzero X-part."""
+    n = len(x_rows)
+    pivots = [xr & -xr for xr in x_rows]
+    t = sum(1 for p in pivots if p)
+    for diagonal in range(1 << t):
+        z = [zr ^ (p * ((diagonal >> i) & 1)) for i, (zr, p) in enumerate(zip(z_rows, pivots))]
+        yield Tableau(n, BitMatrix(tuple(x_rows), n), BitMatrix(tuple(z), n))
+
+
 def test_numpy_group_batch_matches_python():
-    """Kernel rows of every group chunk equal the rank-per-mask oracle, in
-    the order enumerate_stabilizer_groups reads the same producer."""
+    """Each produced row equals the rank-per-mask entropies of every one of
+    its 2^t diagonal variants: phase gates change no entropy."""
     for n in (1, 2, 3, 4):
-        rows = np.concatenate(
-            [_entropy_rows(chunk[:, 0], chunk[:, 1]) for chunk in C._group_chunks(n)]
-        )
-        groups = list(C.enumerate_stabilizer_groups(n))
-        assert rows.shape == (C.stabilizer_group_count(n), (1 << n) - 1)
-        for row, t in zip(rows, groups):
-            assert tuple(row.tolist()) == rank_entropies(t)
+        for chunk in C._group_chunks(n):
+            rows = _entropy_rows(chunk[:, 0], chunk[:, 1])
+            for row, (x_rows, z_rows) in zip(rows, chunk.tolist()):
+                for t in diagonal_variants(x_rows, z_rows):
+                    assert tuple(row.tolist()) == rank_entropies(t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_group_rows_and_weights_total(n):
+    """∏_{k<n}(1 + 2^k) produced rows, whose 2^t weights total every group."""
+    rows = weights = 0
+    for chunk in C._group_chunks(n):
+        rows += chunk.shape[0]
+        weights += sum(1 << sum(1 for xr in x_rows if xr) for x_rows in chunk[:, 0].tolist())
+    assert rows == np.prod([1 + (1 << k) for k in range(n)])
+    assert weights == C.stabilizer_group_count(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_weighted_group_counts_match_every_group(n):
+    """The weighted tally counts each vector as often as a plain count over
+    every enumerated group does."""
+    groups = list(C.enumerate_stabilizer_groups(n))
+    x = np.array([t.x.rows for t in groups])
+    z = np.array([t.z.rows for t in groups])
+    plain = Counter(row.tobytes() for row in _entropy_rows(x, z))
+    weighted = {key: cnt for key, (cnt, _first) in C._vector_counts_groups(n).items()}
+    assert weighted == plain
 
 
 def test_packed_group_chunk_matches_rank_entropies():

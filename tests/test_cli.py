@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from stabmmi import census, cli
+from stabmmi import entropy as entmod
+from stabmmi import tableau as tabmod
 from stabmmi.graphs import from_edges, to_graph6, to_json
 
 from oracles import brute_canonical
@@ -112,6 +115,50 @@ def test_circuit_involution_reports_no_diff(run, tmp_path):
     code, out, _ = run("circuit", str(script), "-n", "3")
     assert code == 0
     assert "->" not in out
+
+
+def test_circuit_matches_rank_and_mmi_oracles(run, tmp_path):
+    """Rank lines and MMI diffs equal rank_vector and evaluate_mmi after
+    every gate of a random script."""
+    rng = random.Random(97)
+    n = 5
+    gates = []
+    for _ in range(80):
+        name = rng.choice(("H", "S", "CNOT", "CZ"))
+        qubits = rng.sample(range(1, n + 1), 1 if name in ("H", "S") else 2)
+        gates.append((name, qubits))
+    script = tmp_path / "random.txt"
+    script.write_text("".join(" ".join([name, *map(str, q)]) + "\n" for name, q in gates))
+
+    def ranks(t):
+        rv = tabmod.rank_vector(t)
+        return " ".join(f"{cli._render_subset(m)}={rv[m]}" for m in range(1, 1 << n))
+
+    def outcomes(t):
+        ev = entmod.entropy_vector(t)
+        return [entmod.evaluate_mmi(ev, inst) for inst in entmod.mmi_instances(n)]
+
+    t = tabmod.zero_state(n)
+    before = outcomes(t)
+    expected = ["initial ranks: " + ranks(t)]
+    apply = {
+        "H": tabmod.apply_h, "S": tabmod.apply_s, "CNOT": tabmod.apply_cnot, "CZ": tabmod.apply_cz
+    }
+    for name, qubits in gates:
+        t = apply[name](t, *qubits)
+        expected.append(f"after {name} {' '.join(map(str, qubits))}: " + ranks(t))
+        after = outcomes(t)
+        for inst, old, new in zip(entmod.mmi_instances(n), before, after):
+            if old != new:
+                expected.append(
+                    f"  MMI({cli._render_subset(inst.i)};{cli._render_subset(inst.j)};"
+                    f"{cli._render_subset(inst.k)}): {old.value} -> {new.value}"
+                )
+        before = after
+    code, out, _ = run("circuit", str(script))
+    assert code == 0
+    assert "->" in out
+    assert out.splitlines() == expected
 
 
 def test_circuit_malformed_line(run, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -12,6 +13,7 @@ from stabmmi.entropy import (
     entropy_vector,
     evaluate_mmi,
     mmi_instances,
+    mmi_signs,
     mmi_tally,
 )
 from stabmmi.graphs import from_edges
@@ -125,6 +127,20 @@ def test_tally_sums():
         for flag in (True, False):
             tally = mmi_tally(ev, flag)
             assert sum(tally.as_triple()) == len(mmi_instances(n, flag))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_vectorised_tally_matches_evaluate_mmi(n):
+    """mmi_signs and mmi_tally agree with the per-instance evaluate_mmi."""
+    rng = random.Random(46 + n)
+    for _ in range(4):
+        ev = entropy_vector(random_tableau(rng, n))
+        for flag in (True, False):
+            instances = mmi_instances(n, flag)
+            outcomes = [evaluate_mmi(ev, inst) for inst in instances]
+            assert [MmiOutcome.of_sign(s) for s in mmi_signs(ev, flag).tolist()] == outcomes
+            counts = Counter(outcomes)
+            assert mmi_tally(ev, flag).as_triple() == tuple(counts[o] for o in MmiOutcome)
 
 
 def test_canonicalize_idempotent():
