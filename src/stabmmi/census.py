@@ -2,31 +2,41 @@
 
 Entropy vectors are aggregated into distinct-vector sets and qubit-exchange
 classes with MMI tallies.  Every census entropy vector comes from the
-support-counting kernel of `entropy`: labeled graphs (x = identity,
-z = adjacency) and stabilizer groups are both fed to it in fixed-size chunks
-of generator rows.  Exchange classes are minimised over the relabeling
-tables of `entropy`, each relabeling orbit once.
+support-counting kernel of `entropy`, fed CHUNK generator rows at a time.
+Exchange classes are minimised over the relabeling tables of `entropy`,
+each relabeling orbit once.
 
-Unsigned stabilizer groups are enumerated through an exact parametrization:
-a maximal symplectically self-orthogonal subspace of Z_2^{2n} is determined
-by the subspace T spanned by the X-parts of its elements together with a
-symmetric binary matrix over a basis of T.  Summing over dim T reproduces
-the product formula ∏(2^k + 1).
+An unsigned stabilizer group is a maximal symplectically self-orthogonal
+subspace of Z_2^{2n}.  It is fixed by the RREF basis of the span T of its
+X-parts, with pivot columns p (t = dim T), and a symmetric binary t×t
+matrix over that basis; the kernel of the RREF rows adds n − t Z-only
+generators.  All groups with one pivot set form a cell.  Group r of a cell
+has generator rows base + bits(r) · weights, and its index bits, least
+significant first, are:
 
-The censuses produce only the groups whose symmetric matrix has a zero
-diagonal.  With the X-part in RREF, generator i is the only one with an X on
-its pivot qubit, so toggling diagonal entry i is the phase gate S on that
-qubit: a local unitary, which changes no subsystem entropy.  Each produced
-group therefore stands for 2^t groups, t = dim T, and its row is tallied
-with weight 2^t; ∏_{k<n}(1 + 2^k) rows cover all ∏(2^k + 1) groups.  For
-groups the first index in a tally counts produced rows, and is unused.
+* triangle: bit (i, j), i < j, sets bit p_j of z_i and bit p_i of z_j;
+* free RREF entry: bit (i, c), c > p_i not a pivot, sets bit c of x_i and
+  bit p_i of the kernel row of column c;
+* diagonal: the top t bits; bit i sets bit p_i of z_i.
+
+Every bit sets different output bits, so the sum is their OR.  Summed over
+all pivot sets, the cells reproduce the product formula ∏(2^k + 1).  The
+cell p = (0, …, n − 1) holds the labeled graphs: x is the identity, z the
+adjacency matrix, and the index below the diagonal bits is the edge mask.
+
+With the X-part in RREF, generator i is the only one with an X on qubit
+p_i, so diagonal bit i is the phase gate S on that qubit: a local unitary,
+which changes no subsystem entropy.  The censuses therefore stop each cell
+before its top t bits and count each group row 2^t times (each graph once):
+∏_{k<n}(1 + 2^k) rows cover all ∏(2^k + 1) groups.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -54,6 +64,7 @@ __all__ = [
 
 # rows per kernel call; also the unit of work handed to pool workers
 CHUNK = 1 << 12
+_CHUNK_BITS = CHUNK.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -88,7 +99,7 @@ class ClassInfo:
 class CensusResult:
     n: int
     source: str
-    # distinct entropy-value tuples -> (multiplicity, representative)
+    # distinct entropy-value tuples -> graph or group count
     vectors: dict[tuple[int, ...], int]
     representatives: dict[tuple[int, ...], Graph | None]
     classes: dict[tuple[int, ...], ClassInfo]
@@ -102,124 +113,92 @@ def stabilizer_group_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# entropy-row producers
+# cells: the groups with one X-part pivot set
 
 
-def _graph_rows(n: int, start: int, stop: int) -> np.ndarray:
-    """Entropy rows of the labeled graphs with edge masks start..stop−1."""
-    pairs = list(combinations(range(n), 2))
-    weights = np.zeros((len(pairs), n), dtype=np.int64)
-    for e, (v, w) in enumerate(pairs):
-        weights[e, v] = 1 << w
-        weights[e, w] = 1 << v
-    z = _index_bits(np.arange(start, stop, dtype=np.int64), len(pairs)) @ weights
-    x = np.broadcast_to(1 << np.arange(n, dtype=np.int64), z.shape)
-    return _entropy_rows(x, z)
+def _check_size(n: int, source: str, allow_heavy: bool = False) -> None:
+    """Raise CapExceeded for sizes outside the census caps."""
+    if source == "graphs":
+        if not 1 <= n <= 8 or (n == 8 and not allow_heavy):
+            raise CapExceeded("graph census capped at 1 ≤ n ≤ 7 (8 with allow_heavy)")
+    elif source == "groups":
+        if not 1 <= n <= 6:
+            raise CapExceeded("group census capped at 1 ≤ n ≤ 6")
+    else:
+        raise ValueError(f"unknown source {source!r}")
 
 
-# ---------------------------------------------------------------------------
-# stabilizer group enumeration
+def _pivot_sets(n: int, source: str):
+    """Pivot sets of the cells a census walks: all qubits for graphs, every
+    subset, by size, for groups."""
+    if source == "graphs":
+        return [tuple(range(n))]
+    return chain.from_iterable(combinations(range(n), t) for t in range(n + 1))
 
 
-def _rref_matrices(n: int, t: int):
-    """All full-rank t×n matrices in RREF, as (rows, pivots)."""
-    if t == 0:
-        yield [], ()
-        return
-    for pivots in combinations(range(n), t):
-        pivot_set = set(pivots)
-        slots = [
-            (i, c)
-            for i in range(t)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivot_set
-        ]
-        base = [1 << pivots[i] for i in range(t)]
-        for bits in range(1 << len(slots)):
-            rows = base.copy()
-            for s, (i, c) in enumerate(slots):
-                if (bits >> s) & 1:
-                    rows[i] |= 1 << c
-            yield rows, pivots
+def _cell(n: int, pivots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Base row and per-index-bit weights (least significant bit first) of
+    the cell with X-part pivots `pivots`; x in columns :n, z in columns n:."""
+    t = len(pivots)
+    free = [c for c in range(n) if c not in pivots]
+    base = np.zeros(2 * n, dtype=np.int64)
+    base[:t] = [1 << p for p in pivots]
+    base[n + t :] = [1 << c for c in free]
+    # each index bit as the (column, bit) pairs it sets
+    bits = [
+        [(n + i, pivots[j]), (n + j, pivots[i])] for i, j in combinations(range(t), 2)
+    ]
+    bits += [
+        [(i, c), (n + t + k, pivots[i])]
+        for i in range(t)
+        for k, c in enumerate(free)
+        if c > pivots[i]
+    ]
+    bits += [[(n + i, pivots[i])] for i in range(t)]
+    weights = np.zeros((len(bits), 2 * n), dtype=np.int64)
+    for b, sets in enumerate(bits):
+        for column, bit in sets:
+            weights[b, column] = 1 << bit
+    return base, weights
 
 
-def _kernel_basis(rows, pivots, n: int) -> list[int]:
-    """Basis of {v : every row · v = 0} for an RREF matrix."""
-    pivot_set = set(pivots)
-    out = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for i, p in enumerate(pivots):
-            if (rows[i] >> f) & 1:
-                v |= 1 << p
-        out.append(v)
-    return out
+@lru_cache(maxsize=1)
+def _cell_table(n: int, pivots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of a cell's first CHUNK indices (all of them, if fewer), and the
+    weights of its higher index bits.  Only the last cell is kept, read-only,
+    since every caller shares it."""
+    base, weights = _cell(n, pivots)
+    low = base[None]
+    for weight in weights[:_CHUNK_BITS]:
+        low = np.concatenate([low, low + weight])
+    low.flags.writeable = weights.flags.writeable = False
+    return low, weights[_CHUNK_BITS:]
 
 
-def _subspace_blocks(n: int):
-    """Generator rows of every unsigned stabilizer group with a zero-diagonal
-    symmetric matrix, as arrays of shape (b, 2, n) holding x and z, one
-    X-part subspace at a time.
-
-    The group built on RREF rows with pivots p and symmetric t×t matrix a has
-    x rows = rows (padded with zeros) and z rows = (a · pivot bits, kernel).
-    The index of a enumerates its strict upper triangle bit by bit, so its
-    z rows are a sum of per-bit weights, computed for CHUNK indices at a time.
-    """
-    for t in range(n + 1):
-        tri = [(i, j) for i in range(t) for j in range(i + 1, t)]
-        total = 1 << len(tri)
-        low_bits = _index_bits(np.arange(min(total, CHUNK)), len(tri))
-        for rows, pivots in _rref_matrices(n, t):
-            weights = np.zeros((len(tri), n), dtype=np.int64)
-            for s, (i, j) in enumerate(tri):
-                weights[s, i] |= 1 << pivots[j]
-                weights[s, j] |= 1 << pivots[i]
-            z = np.array([0] * t + _kernel_basis(rows, pivots, n)) + low_bits @ weights
-            for lo in range(0, total, CHUNK):
-                block = np.empty((z.shape[0], 2, n), dtype=np.int64)
-                block[:, 0] = rows + [0] * (n - t)
-                block[:, 1] = z + _index_bits(np.array([lo]), len(tri)) @ weights
-                yield block
+def _cell_rows(n: int, pivots: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """Generator rows of the groups start..stop−1 of a cell, for one chunk:
+    start a multiple of CHUNK, stop − start ≤ CHUNK."""
+    low, high = _cell_table(n, pivots)
+    return low[: stop - start] + _index_bits(np.array([start >> _CHUNK_BITS]), len(high)) @ high
 
 
-def _group_chunks(n: int):
-    """The blocks of `_subspace_blocks`, packed into chunks of CHUNK groups
-    (the last one shorter), so small subspaces share one kernel call."""
-    if not 1 <= n <= 6:
-        raise CapExceeded("group enumeration capped at 1 ≤ n ≤ 6")
-    pending: list[np.ndarray] = []
-    held = 0
-    for block in _subspace_blocks(n):
-        pending.append(block)
-        held += block.shape[0]
-        if held >= CHUNK:
-            joined = np.concatenate(pending)
-            yield joined[:CHUNK]
-            pending = [joined[CHUNK:]]
-            held -= CHUNK
-    if held:
-        yield np.concatenate(pending)
+def _chunks(n: int, pivots: tuple[int, ...], diagonals: bool = False):
+    """(start, stop) of each chunk of a cell's indices, stopping before the
+    top t (diagonal) bits unless `diagonals`."""
+    width = len(_cell(n, pivots)[1]) - (0 if diagonals else len(pivots))
+    return [(s, min(s + CHUNK, 1 << width)) for s in range(0, 1 << width, CHUNK)]
 
 
 def enumerate_stabilizer_groups(n: int):
     """Each unsigned stabilizer group once, as a canonical-RREF Tableau:
-    every produced group with each of its 2^t diagonals."""
+    every index of every cell, diagonal bits included."""
+    _check_size(n, "groups")
     low = (1 << n) - 1
-    for chunk in _group_chunks(n):
-        for x_rows, z_rows in chunk.tolist():
-            base = [xr | (zr << n) for xr, zr in zip(x_rows, z_rows)]
-            # diagonal entry i adds generator i's pivot, the lowest bit of
-            # x_i, to z_i; the t nonzero X-parts come first
-            flips = [(xr & -xr) << n for xr in x_rows if xr]
-            for diagonal in range(1 << len(flips)):
-                gens = base.copy()
-                for i, flip in enumerate(flips):
-                    if (diagonal >> i) & 1:
-                        gens[i] ^= flip
-                reduced, _ = rref(BitMatrix(tuple(gens), 2 * n))
+    for pivots in _pivot_sets(n, "groups"):
+        for start, stop in _chunks(n, pivots, diagonals=True):
+            for row in _cell_rows(n, pivots, start, stop).tolist():
+                gens = tuple(x | (z << n) for x, z in zip(row[:n], row[n:]))
+                reduced, _ = rref(BitMatrix(gens, 2 * n))
                 yield Tableau(
                     n,
                     BitMatrix(tuple(r & low for r in reduced.rows), n),
@@ -231,20 +210,12 @@ def enumerate_stabilizer_groups(n: int):
 # distinct-vector tallies
 
 
-def _tally_rows(
-    rows: np.ndarray, start: int, weights: np.ndarray | None = None
-) -> dict[bytes, tuple[int, int]]:
-    """Distinct rows in first-seen order -> (count, start + first row index),
-    where row r counts weights[r] times if weights are given, else once."""
+def _tally_rows(rows: np.ndarray, start: int, weight: int = 1) -> dict[bytes, tuple[int, int]]:
+    """Distinct rows in first-seen order -> (weight × count, start + first
+    row index)."""
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
     first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    if weights is None:
-        counts = Counter(keys)
-    else:
-        counts = Counter()
-        for key, weight in zip(keys, weights.tolist()):
-            counts[key] += weight
-    return {key: (cnt, start + first[key]) for key, cnt in counts.items()}
+    return {key: (cnt * weight, start + first[key]) for key, cnt in Counter(keys).items()}
 
 
 def _merge_tallies(parts) -> dict[bytes, tuple[int, int]]:
@@ -257,39 +228,29 @@ def _merge_tallies(parts) -> dict[bytes, tuple[int, int]]:
     return merged
 
 
-def _graph_chunk_tally(args) -> dict[bytes, tuple[int, int]]:
-    n, start, stop = args
-    return _tally_rows(_graph_rows(n, start, stop), start)
+def _chunk_tally(task) -> dict[bytes, tuple[int, int]]:
+    n, pivots, start, stop, weight = task
+    rows = _cell_rows(n, pivots, start, stop)
+    return _tally_rows(_entropy_rows(rows[:, :n], rows[:, n:]), start, weight)
 
 
-def _vector_counts_graphs(n: int, jobs: int = 1) -> dict[bytes, tuple[int, int]]:
-    """Distinct entropy vectors over all labeled graphs.
+def _vector_counts(n: int, source: str, jobs: int = 1) -> dict[bytes, tuple[int, int]]:
+    """Distinct entropy vectors over all labeled graphs or all unsigned
+    stabilizer groups, from the indices of their cells below the diagonal
+    bits.
 
-    Returns vector-bytes -> (graph count, smallest realizing edge mask).
-    """
-    total = 1 << (n * (n - 1) // 2)
-    chunks = [(n, s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
-    if jobs > 1 and len(chunks) > 1:
+    Returns vector-bytes -> (graph or group count, first index in its cell);
+    a graph's index is its edge mask.  A group row stands for its 2^t
+    diagonals.  `jobs` worker processes share the graph census only."""
+    tasks = [
+        (n, pivots, start, stop, 1 << len(pivots) if source == "groups" else 1)
+        for pivots in _pivot_sets(n, source)
+        for start, stop in _chunks(n, pivots)
+    ]
+    if source == "graphs" and jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(jobs) as pool:
-            return _merge_tallies(pool.map(_graph_chunk_tally, chunks))
-    return _merge_tallies(map(_graph_chunk_tally, chunks))
-
-
-def _vector_counts_groups(n: int) -> dict[bytes, tuple[int, int]]:
-    """Distinct entropy vectors over all unsigned stabilizer groups.
-
-    Returns vector-bytes -> (group count, index of the first produced row).
-    A produced row with t nonzero X-parts stands for its 2^t diagonals.
-    """
-
-    def parts():
-        start = 0
-        for chunk in _group_chunks(n):
-            weights = 1 << np.count_nonzero(chunk[:, 0], axis=1)
-            yield _tally_rows(_entropy_rows(chunk[:, 0], chunk[:, 1]), start, weights)
-            start += chunk.shape[0]
-
-    return _merge_tallies(parts())
+            return _merge_tallies(pool.map(_chunk_tally, tasks))
+    return _merge_tallies(map(_chunk_tally, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +280,12 @@ def vector_census(
 
     `jobs` worker processes share the graph census; the group census runs
     in one process, where a pool would cost more to start than it saves."""
-    if source == "graphs":
-        if not 1 <= n <= 8 or (n == 8 and not allow_heavy):
-            raise CapExceeded("graph census capped at 1 ≤ n ≤ 7 (8 with allow_heavy)")
-        raw = _vector_counts_graphs(n, jobs)
-        reps = {
-            tuple(key): graphmod.from_edge_mask(n, first) for key, (_c, first) in raw.items()
-        }
-    elif source == "groups":
-        raw = _vector_counts_groups(n)
-        reps = {tuple(key): None for key in raw}
-    else:
-        raise ValueError(f"unknown source {source!r}")
+    _check_size(n, source, allow_heavy)
+    raw = _vector_counts(n, source, jobs)
+    reps = {
+        tuple(key): graphmod.from_edge_mask(n, first) if source == "graphs" else None
+        for key, (_cnt, first) in raw.items()
+    }
     vectors = {tuple(key): cnt for key, (cnt, _first) in raw.items()}
 
     tables = list(relabelings(n))
@@ -382,32 +337,17 @@ def state_census(n: int, jobs: int = 1) -> CensusRow:
 
 def _orbit_four_star_search(g: Graph, budget: int) -> tuple[Graph | None, int]:
     """BFS the LC orbit until a member has an induced four-star."""
-    seen = {g}
-    queue = deque([g])
-    while queue:
-        cur = queue.popleft()
-        if graphmod.induced_four_stars(cur):
-            return cur, len(seen)
-        for a in range(1, g.n + 1):
-            if cur.adj[a - 1] == 0:
-                continue
-            nxt = graphmod.local_complement(cur, a)
-            if nxt not in seen:
-                if len(seen) >= budget:
-                    return None, len(seen)
-                seen.add(nxt)
-                queue.append(nxt)
-    return None, len(seen)
+    member, seen, _within = graphmod.lc_search(g, budget, graphmod.induced_four_stars)
+    return member, len(seen)
 
 
 def four_star_conjecture_scan(n: int, budget: int = 10**6, jobs: int = 1) -> dict:
     """For every MMI-failing entropy vector, search a realizing graph's LC
     orbit for an induced four-star; counterexamples are expected empty."""
-    if n > 8:
-        raise CapExceeded("scan capped at n ≤ 8")
+    _check_size(n, "graphs")
     if n < 4:
         return {"n": n, "failing_vectors": 0, "witnesses": [], "counterexamples": []}
-    raw = _vector_counts_graphs(n, jobs)
+    raw = _vector_counts(n, "graphs", jobs)
     witnesses = []
     counterexamples = []
     budget_exceeded = []
@@ -452,15 +392,14 @@ def nontrivial_intersection_scan(n: int) -> dict:
     """Verify: a nontrivial-intersection partition implies the state fails
     some MMI instance.  Only graphs whose vector fails nothing need the
     partition search; any hit there is a counterexample."""
-    if not 1 <= n <= 7:
-        raise CapExceeded("scan capped at 1 ≤ n ≤ 7")
+    _check_size(n, "graphs")
     counterexamples = []
     searched = 0
     fails_cache: dict[bytes, bool] = {}
-    total = 1 << (n * (n - 1) // 2)
-    for start in range(0, total, CHUNK):
-        rows = _graph_rows(n, start, min(start + CHUNK, total))
-        for offset, row in enumerate(rows):
+    pivots = tuple(range(n))
+    for start, stop in _chunks(n, pivots):
+        gens = _cell_rows(n, pivots, start, stop)
+        for offset, row in enumerate(_entropy_rows(gens[:, :n], gens[:, n:])):
             key = row.tobytes()
             fails = fails_cache.get(key)
             if fails is None:

@@ -270,11 +270,9 @@ def cmd_census(args) -> int:
         )
         _write(args.output, json.dumps(report, sort_keys=True, indent=1) + "\n")
         return EXIT_OK
-    if args.scan_intersection is not None:
-        report = censusmod.nontrivial_intersection_scan(args.scan_intersection)
-        _write(args.output, json.dumps(report, sort_keys=True, indent=1) + "\n")
-        return EXIT_OK
-    raise UsageError("census needs one of --table14/--classes/--scan-four-star/--scan-intersection")
+    report = censusmod.nontrivial_intersection_scan(args.scan_intersection)
+    _write(args.output, json.dumps(report, sort_keys=True, indent=1) + "\n")
+    return EXIT_OK
 
 
 def cmd_report(args) -> int:
@@ -360,10 +358,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("census", help="census tables and conjecture scans")
     p.add_argument("--source", choices=["graphs", "groups"], default="groups")
-    p.add_argument("--table14", type=int, metavar="N")
-    p.add_argument("--classes", type=int, metavar="N")
-    p.add_argument("--scan-four-star", type=int, metavar="N")
-    p.add_argument("--scan-intersection", type=int, metavar="N")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--table14", type=int, metavar="N")
+    mode.add_argument("--classes", type=int, metavar="N")
+    mode.add_argument("--scan-four-star", type=int, metavar="N")
+    mode.add_argument("--scan-intersection", type=int, metavar="N")
     p.add_argument(
         "--jobs",
         type=int,

@@ -12,7 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .gf2 import BitMatrix, rank
 
@@ -22,6 +22,7 @@ __all__ = [
     "from_edges",
     "from_edge_mask",
     "local_complement",
+    "lc_search",
     "lc_orbit",
     "submatrix",
     "entropy",
@@ -103,24 +104,39 @@ def local_complement(g: Graph, a: int) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def lc_orbit(g: Graph, node_budget: int = 10**6) -> set[Graph]:
-    """BFS closure under local complementation, deduped by labeled adjacency."""
+def lc_search(
+    g: Graph, budget: int = 10**6, stop: Callable[[Graph], object] | None = None
+) -> tuple[Graph | None, set[Graph], bool]:
+    """Breadth-first search of the LC orbit, deduped by labeled adjacency.
+
+    Returns the first member in BFS order for which `stop` is true (None if
+    none is), the members found so far, and whether the search stayed within
+    `budget` members."""
     seen = {g}
     queue = deque([g])
     while queue:
         cur = queue.popleft()
+        if stop is not None and stop(cur):
+            return cur, seen, True
         for a in range(1, g.n + 1):
             if cur.adj[a - 1] == 0:
                 continue
             nxt = local_complement(cur, a)
             if nxt not in seen:
-                if len(seen) >= node_budget:
-                    raise RuntimeError(
-                        f"LC orbit exceeded node budget {node_budget} "
-                        f"(partial size {len(seen)})"
-                    )
+                if len(seen) >= budget:
+                    return None, seen, False
                 seen.add(nxt)
                 queue.append(nxt)
+    return None, seen, True
+
+
+def lc_orbit(g: Graph, node_budget: int = 10**6) -> set[Graph]:
+    """BFS closure under local complementation, deduped by labeled adjacency."""
+    _member, seen, within = lc_search(g, node_budget)
+    if not within:
+        raise RuntimeError(
+            f"LC orbit exceeded node budget {node_budget} (partial size {len(seen)})"
+        )
     return seen
 
 

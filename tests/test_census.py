@@ -67,15 +67,26 @@ def test_support_counting_matches_rank_entropies():
         assert entropy_vector(g).values == rank_entropies(g)
 
 
+def graph_cell_rows(n, start, stop):
+    return C._cell_rows(n, tuple(range(n)), start, stop)
+
+
 def test_numpy_graph_batch_matches_python():
-    """Kernel rows of an edge-mask window equal the rank-per-mask oracle."""
+    """Kernel rows of an edge-mask window equal the rank-per-mask oracle, and
+    row m of the graph cell is the graph with edge mask m."""
     for n in (6, 7):
-        start = 1234
-        vals = C._graph_rows(n, start, start + 64)
+        start = C.CHUNK + 1234
+        gens = graph_cell_rows(n, C.CHUNK, 2 * C.CHUNK)[1234 : 1234 + 64]
+        vals = _entropy_rows(gens[:, :n], gens[:, n:])
         assert vals.shape == (64, (1 << n) - 1)
         for offset in range(64):
             g = graphmod.from_edge_mask(n, start + offset)
             assert tuple(vals[offset].tolist()) == rank_entropies(g)
+    for n in range(1, 6):
+        total = 1 << (n * (n - 1) // 2)
+        identity = [1 << v for v in range(n)]
+        for m, row in enumerate(graph_cell_rows(n, 0, total).tolist()):
+            assert (row[:n], tuple(row[n:])) == (identity, graphmod.from_edge_mask(n, m).adj)
 
 
 def diagonal_variants(x_rows, z_rows):
@@ -89,14 +100,21 @@ def diagonal_variants(x_rows, z_rows):
         yield Tableau(n, BitMatrix(tuple(x_rows), n), BitMatrix(tuple(z), n))
 
 
+def phase_free_rows(n):
+    """Generator rows of the census: each cell below its diagonal bits."""
+    for pivots in C._pivot_sets(n, "groups"):
+        for start, stop in C._chunks(n, pivots):
+            yield C._cell_rows(n, pivots, start, stop)
+
+
 def test_numpy_group_batch_matches_python():
     """Each produced row equals the rank-per-mask entropies of every one of
     its 2^t diagonal variants: phase gates change no entropy."""
     for n in (1, 2, 3, 4):
-        for chunk in C._group_chunks(n):
-            rows = _entropy_rows(chunk[:, 0], chunk[:, 1])
-            for row, (x_rows, z_rows) in zip(rows, chunk.tolist()):
-                for t in diagonal_variants(x_rows, z_rows):
+        for gens in phase_free_rows(n):
+            rows = _entropy_rows(gens[:, :n], gens[:, n:])
+            for row, gen in zip(rows, gens.tolist()):
+                for t in diagonal_variants(gen[:n], gen[n:]):
                     assert tuple(row.tolist()) == rank_entropies(t)
 
 
@@ -104,9 +122,9 @@ def test_numpy_group_batch_matches_python():
 def test_group_rows_and_weights_total(n):
     """∏_{k<n}(1 + 2^k) produced rows, whose 2^t weights total every group."""
     rows = weights = 0
-    for chunk in C._group_chunks(n):
-        rows += chunk.shape[0]
-        weights += sum(1 << sum(1 for xr in x_rows if xr) for x_rows in chunk[:, 0].tolist())
+    for gens in phase_free_rows(n):
+        rows += gens.shape[0]
+        weights += sum(1 << sum(1 for xr in gen[:n] if xr) for gen in gens.tolist())
     assert rows == np.prod([1 + (1 << k) for k in range(n)])
     assert weights == C.stabilizer_group_count(n)
 
@@ -119,22 +137,28 @@ def test_weighted_group_counts_match_every_group(n):
     x = np.array([t.x.rows for t in groups])
     z = np.array([t.z.rows for t in groups])
     plain = Counter(row.tobytes() for row in _entropy_rows(x, z))
-    weighted = {key: cnt for key, (cnt, _first) in C._vector_counts_groups(n).items()}
+    weighted = {key: cnt for key, (cnt, _first) in C._vector_counts(n, "groups").items()}
     assert weighted == plain
 
 
-def test_packed_group_chunk_matches_rank_entropies():
-    """One full n = 6 chunk packs many X-part subspaces into one kernel call."""
+def test_every_n6_cell_matches_rank_entropies():
+    """Sampled groups of every n = 6 cell, diagonal bits included, are valid
+    tableaux whose kernel rows equal the rank-per-mask oracle."""
     n = 6
-    chunk = next(C._group_chunks(n))
-    assert chunk.shape == (C.CHUNK, 2, n)
-    x_parts = {tuple(gens) for gens in chunk[:, 0].tolist()}
-    assert len(x_parts) > 100  # one X-part per subspace
-    rows = _entropy_rows(chunk[:, 0], chunk[:, 1])
-    for b in range(0, C.CHUNK, 13):
-        x_rows, z_rows = chunk[b].tolist()
-        t = Tableau(n, BitMatrix(tuple(x_rows), n), BitMatrix(tuple(z_rows), n))
-        assert tuple(rows[b].tolist()) == rank_entropies(t)
+    rng = random.Random(66)
+    cells = list(C._pivot_sets(n, "groups"))
+    assert len(cells) == 1 << n
+    for pivots in cells:
+        total = 1 << len(C._cell(n, pivots)[1])
+        indices = {0, total - 1} | {rng.randrange(total) for _ in range(20)}
+        gens = np.array(
+            [C._cell_rows(n, pivots, r - r % C.CHUNK, r + 1)[-1] for r in sorted(indices)]
+        )
+        rows = _entropy_rows(gens[:, :n], gens[:, n:])
+        for row, gen in zip(rows, gens.tolist()):
+            t = Tableau(n, BitMatrix(tuple(gen[:n]), n), BitMatrix(tuple(gen[n:]), n))
+            assert [xr & -xr for xr in gen[: len(pivots)]] == [1 << p for p in pivots]
+            assert tuple(row.tolist()) == rank_entropies(t)
 
 
 @pytest.mark.parametrize(
@@ -143,10 +167,20 @@ def test_packed_group_chunk_matches_rank_entropies():
         lambda: C.state_census(7),
         lambda: C.vector_census(8, source="graphs"),
         lambda: C.four_star_conjecture_scan(9),
+        lambda: C.four_star_conjecture_scan(8),
+        lambda: C.four_star_conjecture_scan(0),
         lambda: C.nontrivial_intersection_scan(8),
         lambda: next(enumerate_graphs(9)),
     ],
-    ids=["groups", "graph-census", "four-star-scan", "intersection-scan", "enumerate-graphs"],
+    ids=[
+        "groups",
+        "graph-census",
+        "four-star-scan",
+        "four-star-scan-8",
+        "four-star-scan-0",
+        "intersection-scan",
+        "enumerate-graphs",
+    ],
 )
 def test_caps_raise_cap_exceeded(call):
     with pytest.raises(CapExceeded):
@@ -205,6 +239,10 @@ def test_census_parallel_chunking_deterministic():
     seq = C.vector_census(6, source="graphs", jobs=1)
     par = C.vector_census(6, source="graphs", jobs=2)
     assert seq.vectors == par.vectors
+    # most representatives come from chunks past the first
+    assert list(seq.representatives.items()) == list(par.representatives.items())
+    for vals, g in seq.representatives.items():
+        assert rank_entropies(g) == vals
     assert {k: (v.state_count, v.tally) for k, v in seq.classes.items()} == {
         k: (v.state_count, v.tally) for k, v in par.classes.items()
     }

@@ -228,6 +228,13 @@ def test_census_usage_error(run):
     assert code == 1
 
 
+def test_census_modes_exclusive(run):
+    code, out, err = run("census", "--table14", "3", "--scan-intersection", "4")
+    assert code == 1
+    assert out == ""
+    assert "not allowed with" in err
+
+
 def test_census_cap_exceeded(run):
     code, _, err = run("census", "--table14", "7")
     assert code == 3
