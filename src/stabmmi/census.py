@@ -380,14 +380,6 @@ def four_star_conjecture_scan(n: int, budget: int = 10**6, jobs: int = 1) -> dic
     }
 
 
-def has_nontrivial_partition(g: Graph) -> bool:
-    """Whether some generalized-star partition has a nontrivial triple
-    intersection of block column spaces."""
-    return (
-        starmod.find_star_partition(g, require_nontrivial=True) is not None
-    )
-
-
 def nontrivial_intersection_scan(n: int) -> dict:
     """Verify: a nontrivial-intersection partition implies the state fails
     some MMI instance.  Only graphs whose vector fails nothing need the
@@ -408,10 +400,9 @@ def nontrivial_intersection_scan(n: int) -> dict:
             if fails:
                 continue  # implication holds whatever the partitions are
             searched += 1
-            if n >= 4:
-                g = graphmod.from_edge_mask(n, start + offset)
-                if has_nontrivial_partition(g):
-                    counterexamples.append(graphmod.to_graph6(g))
+            g = graphmod.from_edge_mask(n, start + offset)
+            if starmod.find_star_partition(g, require_nontrivial=True) is not None:
+                counterexamples.append(graphmod.to_graph6(g))
     return {
         "n": n,
         "graphs_searched": searched,

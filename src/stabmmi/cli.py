@@ -28,6 +28,8 @@ EXIT_INTERNAL = 4
 
 # qubit cap of the per-state commands: the paper's largest size
 MAX_QUBITS = 8
+# most worker processes `census --jobs` (or STABMMI_JOBS) may ask for
+MAX_JOBS = 64
 
 
 class UsageError(Exception):
@@ -51,13 +53,17 @@ def _render_subset(mask: int) -> str:
     return "+".join(str(v) for v in _mask_to_vertices(mask))
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def load_source(path: str, fmt: str | None = None):
     """Read a Graph or Tableau from .g6 / .json / .txt input."""
     p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     suffix = (fmt or p.suffix.lstrip(".")).lower()
     try:
         if suffix == "g6":
@@ -125,10 +131,7 @@ def _parse_gate_line(line: str, lineno: int):
 
 
 def cmd_circuit(args) -> int:
-    try:
-        script = Path(args.script).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.script}: {exc}") from exc
+    script = _read_text(args.script)
     lines = [
         (i + 1, ln.strip())
         for i, ln in enumerate(script.splitlines())
@@ -277,53 +280,56 @@ def cmd_census(args) -> int:
 
 def cmd_report(args) -> int:
     try:
-        data = json.loads(Path(args.census).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.census}: {exc}") from exc
+        data = json.loads(_read_text(args.census))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{args.census}: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("classes", []), list):
+        raise ParseError(f"{args.census}: expected an object with a 'classes' list")
+    pages = []  # (class id, HTML page), all built before anything is written
+    try:
+        for rec in data.get("classes", []):
+            cid, g6 = rec["class_id"], rec.get("representative_graph6")
+            graph = graphmod.from_graph6(g6) if g6 else None
+            edges = ", ".join(f"({u},{v})" for u, v in graph.edges()) if g6 else ""
+            pages.append((cid, (
+                f"<html><head><title>Class {cid}</title></head><body>"
+                f"<h1>Class {cid}</h1>"
+                f"<p>Canonical vector: {' '.join(map(str, rec['canonical_vector']))}</p>"
+                f"<p>Representative graph6: <code>{g6 or 'n/a'}</code></p>"
+                f"<p>Edges: {edges or 'n/a'}</p>"
+                "<p>Tally (satisfies, saturates, fails): "
+                f"({rec['satisfies']}, {rec['saturates']}, {rec['fails']})</p>"
+                f"<p>State count: {rec['state_count']}</p>"
+                '<p><a href="index.html">index</a></p>'
+                "</body></html>"
+            )))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"{args.census}: malformed class record: {exc!r}") from exc
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    classes = data.get("classes", [])
-    items = []
-    for rec in classes:
-        cid = rec["class_id"]
-        page = f"class-{cid}.html"
-        g6 = rec.get("representative_graph6")
-        edges = ""
-        if g6:
-            edges = ", ".join(
-                f"({u},{v})" for u, v in graphmod.from_graph6(g6).edges()
-            )
-        body = (
-            "<html><head><title>Class {cid}</title></head><body>"
-            "<h1>Class {cid}</h1>"
-            "<p>Canonical vector: {vec}</p>"
-            "<p>Representative graph6: <code>{g6}</code></p>"
-            "<p>Edges: {edges}</p>"
-            "<p>Tally (satisfies, saturates, fails): ({s}, {st}, {f})</p>"
-            "<p>State count: {count}</p>"
-            '<p><a href="index.html">index</a></p>'
-            "</body></html>"
-        ).format(
-            cid=cid,
-            vec=" ".join(map(str, rec["canonical_vector"])),
-            g6=g6 or "n/a",
-            edges=edges or "n/a",
-            s=rec["satisfies"],
-            st=rec["saturates"],
-            f=rec["fails"],
-            count=rec["state_count"],
-        )
-        (outdir / page).write_text(body)
-        items.append(f'<li><a href="{page}">Class {cid}</a></li>')
+    for cid, body in pages:
+        (outdir / f"class-{cid}.html").write_text(body)
+    items = "".join(f'<li><a href="class-{cid}.html">Class {cid}</a></li>' for cid, _ in pages)
     index = (
         "<html><head><title>Census n={n}</title></head><body>"
         "<h1>Entropy-vector classes, n={n}</h1><ul>{items}</ul></body></html>"
-    ).format(n=data.get("n", "?"), items="".join(items))
+    ).format(n=data.get("n", "?"), items=items)
     (outdir / "index.html").write_text(index)
-    print(f"wrote {len(classes) + 1} pages to {outdir}")
+    print(f"wrote {len(pages) + 1} pages to {outdir}")
     return EXIT_OK
+
+
+def _int_range(lo: int, hi: int | None = None):
+    """An argparse type: an integer from lo to hi (None: no upper bound)."""
+    bound = f"from {lo} to {hi}" if hi else f"of at least {lo}"
+
+    def integer(text: str) -> int:  # a ValueError reads "invalid integer value"
+        value = int(text)
+        if not lo <= value <= (hi or value):
+            raise argparse.ArgumentTypeError(f"expected an integer {bound}, got {text!r}")
+        return value
+
+    return integer
 
 
 def build_parser() -> _Parser:
@@ -365,12 +371,18 @@ def build_parser() -> _Parser:
     mode.add_argument("--scan-intersection", type=int, metavar="N")
     p.add_argument(
         "--jobs",
-        type=int,
-        default=int(os.environ.get("STABMMI_JOBS", "1")),
-        help="worker processes for the graph census (--classes N --source graphs) and"
-        " --scan-four-star; the group census and --scan-intersection run in one process",
+        type=_int_range(1, MAX_JOBS),
+        default=os.environ.get("STABMMI_JOBS", "1"),  # a string: argparse checks it too
+        help=f"1 to {MAX_JOBS} worker processes (default: $STABMMI_JOBS or 1) for the graph"
+        " census (--classes N --source graphs) and --scan-four-star; the group census and"
+        " --scan-intersection run in one process",
     )
-    p.add_argument("--budget", type=int, default=10**6)
+    p.add_argument(
+        "--budget",
+        type=_int_range(1),
+        default=10**6,
+        help="LC-orbit members --scan-four-star searches per failing vector, >= 1 (default 10^6)",
+    )
     p.add_argument("--json", action="store_true", help="JSON output for --classes")
     p.add_argument("-o", "--output", help="output file (default stdout)")
     p.set_defaults(func=cmd_census)

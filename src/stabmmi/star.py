@@ -5,7 +5,10 @@ intersection taxonomy, anchoring guarantees, and partition search.
 A generalized star splits the vertices into a center C and blocks I, J, K
 with no edges among I, J, K pairwise.  Everything below works with the
 column spaces W_I, W_J, W_K of the C×I, C×J, C×K adjacency blocks inside
-Z_2^{|C|}.
+Z_2^{|C|}, each held as the frozenset of its members: vertex masks inside C
+(column u of the C×X block is adj[u] & C).  ∩ is `&`, W + W' is the span of
+W | W', dim W = log2 |W|, and the cost grows as 2^dim W ≤ 2^|C| ≤ 2^(n−3):
+at most 32 members under the CLI's n ≤ 8 cap.
 """
 
 from __future__ import annotations
@@ -14,16 +17,6 @@ import json
 from dataclasses import dataclass
 
 from .entropy import MmiOutcome
-from .gf2 import (
-    BitMatrix,
-    Subspace,
-    column_space,
-    intersect,
-    is_distributive,
-    rank,
-    sum_spaces,
-    triple_intersect,
-)
 from .graphs import Graph
 
 __all__ = [
@@ -82,9 +75,9 @@ class StarPartition:
 
 @dataclass(frozen=True)
 class BlockSpaces:
-    w_i: Subspace
-    w_j: Subspace
-    w_k: Subspace
+    w_i: frozenset[int]
+    w_j: frozenset[int]
+    w_k: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -141,23 +134,30 @@ def is_anchored_single_center(g: Graph, p: StarPartition) -> bool:
     return bool(nb & p.i) and bool(nb & p.j) and bool(nb & p.k)
 
 
-def _block(g: Graph, rows_mask: int, cols_mask: int) -> BitMatrix:
-    rows = _bits(rows_mask)
-    cols = _bits(cols_mask)
-    packed = []
-    for r in rows:
-        packed.append(sum(((g.adj[r] >> c) & 1) << out for out, c in enumerate(cols)))
-    return BitMatrix(tuple(packed), len(cols))
+def _span(vectors) -> frozenset[int]:
+    """Every member of the GF(2) span of `vectors` (vertex masks)."""
+    members = {0}
+    for v in vectors:
+        if v not in members:
+            members |= {m ^ v for m in members}
+    return frozenset(members)
+
+
+def _dim(w: frozenset[int]) -> int:
+    return len(w).bit_length() - 1
 
 
 def block_spaces(g: Graph, p: StarPartition) -> BlockSpaces:
     if not is_generalized_star(g, p):
         raise ValueError("partition is not a generalized star")
     return BlockSpaces(
-        column_space(_block(g, p.c, p.i)),
-        column_space(_block(g, p.c, p.j)),
-        column_space(_block(g, p.c, p.k)),
+        *(_span(g.adj[u] & p.c for u in _bits(block)) for block in (p.i, p.j, p.k))
     )
+
+
+def _cij_dims(w: BlockSpaces) -> tuple[int, int]:
+    """dim(W_I∩W_K) + dim(W_J∩W_K), and dim((W_I+W_J)∩W_K)."""
+    return _dim(w.w_i & w.w_k) + _dim(w.w_j & w.w_k), _dim(_span(w.w_i | w.w_j) & w.w_k)
 
 
 _CASE_PREDICTION = {
@@ -170,9 +170,14 @@ _CASE_PREDICTION = {
 
 
 def classify(g: Graph, p: StarPartition) -> StarClassification:
+    """W_I∩W_K + W_J∩W_K ⊆ (W_I+W_J)∩W_K: distributive when the dimensions
+    agree.  rhs − (lhs − dim(W_I∩W_J∩W_K)) is symmetric in I, J, K, so one
+    test covers all three arrangements of the identity."""
     w = block_spaces(g, p)
-    nontrivial = triple_intersect(w.w_i, w.w_j, w.w_k).dim > 0
-    dist = is_distributive(w.w_i, w.w_j, w.w_k)
+    triple = w.w_i & w.w_j & w.w_k
+    lhs, rhs = _cij_dims(w)
+    nontrivial = len(triple) > 1
+    dist = lhs - _dim(triple) == rhs
     case, predicted = _CASE_PREDICTION[(dist, nontrivial)]
     return StarClassification(nontrivial, dist, case, predicted)
 
@@ -183,9 +188,7 @@ def mmi_cij_colspace(g: Graph, p: StarPartition) -> MmiOutcome:
     dim(W_I∩W_K) + dim(W_J∩W_K) below / at / above dim((W_I+W_J)∩W_K)
     means the inequality holds strictly / with equality / fails.
     """
-    w = block_spaces(g, p)
-    lhs = intersect(w.w_i, w.w_k).dim + intersect(w.w_j, w.w_k).dim
-    rhs = intersect(sum_spaces(w.w_i, w.w_j), w.w_k).dim
+    lhs, rhs = _cij_dims(block_spaces(g, p))
     if lhs < rhs:
         return MmiOutcome.SATISFIES
     if lhs == rhs:
@@ -195,26 +198,19 @@ def mmi_cij_colspace(g: Graph, p: StarPartition) -> MmiOutcome:
 
 def entropies_from_blocks(g: Graph, p: StarPartition) -> dict[str, int]:
     """The seven subsystem entropies of the (C∪I, C∪J) instance, from block
-    ranks and intersection dimensions only."""
-    if not is_generalized_star(g, p):
-        raise ValueError("partition is not a generalized star")
-    ci = _block(g, p.c, p.i)
-    cj = _block(g, p.c, p.j)
-    ck = _block(g, p.c, p.k)
-    w_i, w_j, w_k = column_space(ci), column_space(cj), column_space(ck)
-    r_ci, r_cj, r_ck = rank(ci), rank(cj), rank(ck)
+    ranks (dim W_X) and intersection dimensions only."""
+    w = block_spaces(g, p)
+    r_i, r_j, r_k = _dim(w.w_i), _dim(w.w_j), _dim(w.w_k)
+    d_ij, d_ik, d_jk = _dim(w.w_i & w.w_j), _dim(w.w_i & w.w_k), _dim(w.w_j & w.w_k)
+    _, rhs = _cij_dims(w)
     return {
-        "S_C": r_ci
-        + r_cj
-        + r_ck
-        - intersect(w_i, w_j).dim
-        - intersect(sum_spaces(w_i, w_j), w_k).dim,
-        "S_I": r_ci,
-        "S_J": r_cj,
-        "S_CI": r_cj + r_ck - intersect(w_j, w_k).dim,
-        "S_CJ": r_ci + r_ck - intersect(w_i, w_k).dim,
-        "S_IJ": r_ci + r_cj - intersect(w_i, w_j).dim,
-        "S_CIJ": r_ck,
+        "S_C": r_i + r_j + r_k - d_ij - rhs,
+        "S_I": r_i,
+        "S_J": r_j,
+        "S_CI": r_j + r_k - d_jk,
+        "S_CJ": r_i + r_k - d_ik,
+        "S_IJ": r_i + r_j - d_ij,
+        "S_CIJ": r_k,
     }
 
 
@@ -294,7 +290,7 @@ def find_star_partition(
     for p in _partitions(g):
         if require_nontrivial:
             w = block_spaces(g, p)
-            if triple_intersect(w.w_i, w.w_j, w.w_k).dim == 0:
+            if len(w.w_i & w.w_j & w.w_k) == 1:
                 continue
         key = (
             -bin(p.c | p.i | p.j).count("1") if maximize_cij else 0,

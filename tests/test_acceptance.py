@@ -305,7 +305,7 @@ def test_acceptance_10_property_suites():
         assert G.from_graph6(G.to_graph6(g)) == g
 
 
-@acceptance(11, budget_seconds=600)
+@acceptance(11, budget_seconds=60)
 def test_acceptance_11_conjecture_scans():
     verdict = "PASS"
     for n in (4, 5, 6):

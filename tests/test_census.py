@@ -10,6 +10,7 @@ from stabmmi import tableau as tabmod
 from stabmmi.entropy import EntropyVector, _entropy_rows, entropy_vector, mmi_tally
 from stabmmi.gf2 import BitMatrix
 from stabmmi.graphs import CapExceeded, enumerate_graphs, from_edges
+from stabmmi.star import find_star_partition
 from stabmmi.tableau import Tableau
 
 from oracles import brute_canonical, brute_lagrangians, span_elements
@@ -263,10 +264,10 @@ def test_intersection_scan_small():
     report = C.nontrivial_intersection_scan(5)
     assert report["counterexamples"] == []
     star5 = from_edges(5, [(1, v) for v in range(2, 6)])
-    assert C.has_nontrivial_partition(star5)
+    assert find_star_partition(star5, require_nontrivial=True) is not None
     assert mmi_tally(entropy_vector(star5)).fails > 0
     p6 = from_edges(6, [(v, v + 1) for v in range(1, 6)])
-    assert not C.has_nontrivial_partition(p6)
+    assert find_star_partition(p6, require_nontrivial=True) is None
 
 
 def test_paths_and_cycles_never_fail():

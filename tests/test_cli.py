@@ -373,3 +373,64 @@ def test_unknown_extension_needs_format(run, tmp_path):
     odd.write_text(to_json(from_edges(3, [(1, 2)])))
     assert run("entropy", str(odd))[0] == 1
     assert run("entropy", str(odd), "--format", "json")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "command,name", [("entropy", "bad.g6"), ("circuit", "bad.txt"), ("report", "bad.json")]
+)
+def test_non_utf8_input_is_a_parse_error(run, tmp_path, command, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe")
+    extra = ["-d", str(tmp_path / "html")] if command == "report" else []
+    code, out, err = run(command, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+
+
+_RECORD = {
+    "class_id": 1, "canonical_vector": [1, 1, 0], "state_count": 3, "member_vectors": 1,
+    "satisfies": 0, "saturates": 0, "fails": 0, "representative_graph6": "Bw",
+}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [_RECORD],
+        {"n": 2, "classes": 5},
+        {"n": 2, "classes": [{k: v for k, v in _RECORD.items() if k != "class_id"}]},
+        {"n": 2, "classes": [{**_RECORD, "representative_graph6": "~~"}]},
+    ],
+    ids=["top-level-list", "classes-not-list", "record-missing-key", "bad-graph6"],
+)
+def test_report_malformed_census_is_a_parse_error(run, tmp_path, data):
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps(data))
+    outdir = tmp_path / "html"
+    code, out, err = run("report", str(path), "-d", str(outdir))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+    assert not outdir.exists()  # nothing is written before the input checks out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--jobs", "0"], ["--jobs", "100000"], ["--jobs", "x"], ["--budget", "0"],
+     ["--budget", "-1"]],
+)
+def test_census_flag_ranges(run, argv):
+    """Out-of-range flags are rejected while the arguments are parsed, so no
+    pool is started (and --table14 would start none anyway)."""
+    code, out, err = run("census", "--table14", "3", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+    assert run("census", "--table14", "3", "--jobs", str(cli.MAX_JOBS), "--budget", "1")[0] == 0
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "100000"])
+def test_census_jobs_environment_is_checked(run, monkeypatch, value):
+    monkeypatch.setenv("STABMMI_JOBS", value)
+    code, out, err = run("census", "--table14", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and "--jobs" in err
+    assert run("census", "--table14", "3", "--jobs", "1")[0] == 0

@@ -1,13 +1,17 @@
+import functools
+import itertools
 import json
 import random
 
 import pytest
 
+from stabmmi import gf2
 from stabmmi import graphs as graphmod
 from stabmmi.entropy import EntropyVector, MmiInstance, MmiOutcome, evaluate_mmi
 from stabmmi.graphs import Graph, from_edges
 from stabmmi.star import (
     StarPartition,
+    _partitions,
     block_spaces,
     classify,
     entropies_from_blocks,
@@ -146,15 +150,13 @@ def test_anchoring_matches_mask_oracle():
 def test_block_spaces_k4():
     g, p = k4_star_partition()
     w = block_spaces(g, p)
-    assert w.w_i.ambient == 1
-    assert w.w_i.dim == w.w_j.dim == w.w_k.dim == 1
-    assert w.w_i == w.w_j == w.w_k
+    assert w.w_i == w.w_j == w.w_k == {0, 1}  # members are vertex masks in C
 
 
 def test_block_spaces_zero_block():
     g = from_edges(4, [(1, 2), (1, 3)])
     p = StarPartition.from_sets(4, [1], [2], [3], [4])
-    assert block_spaces(g, p).w_k.dim == 0
+    assert block_spaces(g, p).w_k == {0}
 
 
 def test_classification_of_explicit_examples():
@@ -302,3 +304,90 @@ def test_classification_json_record():
     assert record["partition"] == {"C": [1], "I": [2], "J": [3], "K": [4]}
     assert record["case"] == 3
     assert record["outcome"] == "Fails"
+
+
+@functools.lru_cache(maxsize=None)
+def _role_masks(n):
+    """(c, i, j, k) masks of every assignment of the n vertices to four
+    nonempty parts."""
+    out = []
+    for roles in itertools.product(range(4), repeat=n):
+        masks = [0, 0, 0, 0]
+        for v, r in enumerate(roles):
+            masks[r] |= 1 << v
+        if all(masks):
+            out.append(tuple(masks))
+    return out
+
+
+def _star_partitions(g):
+    """Every generalized-star partition, filtered from all role assignments."""
+    for c, i, j, k in _role_masks(g.n):
+        if not any(g.adj[u] & (j | k) for u in range(g.n) if (i >> u) & 1) and not any(
+            g.adj[u] & k for u in range(g.n) if (j >> u) & 1
+        ):
+            yield StarPartition(c, i, j, k)
+
+
+def _gf2_block(g, p, block):
+    """The C×block adjacency block as a gf2 matrix with a row for every vertex
+    (zero outside C), so its column-space members are vertex masks in C."""
+    return gf2.BitMatrix(
+        tuple(g.adj[r] & block if (p.c >> r) & 1 else 0 for r in range(g.n)), g.n
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _gf2_spaces(blocks):
+    """Members, nontrivial triple intersection and distributivity of the
+    three blocks' column spaces, by rref and Zassenhaus intersection."""
+    w = [gf2.column_space(b) for b in blocks]
+    members = tuple(set(x.elements()) for x in w)
+    return members, gf2.triple_intersect(*w).dim > 0, gf2.is_distributive(*w)
+
+
+def _gf2_oracle(g, p):
+    return _gf2_spaces(tuple(_gf2_block(g, p, b) for b in (p.i, p.j, p.k)))
+
+
+def test_block_spaces_and_classify_match_gf2_on_every_small_partition():
+    checked = 0
+    for n in range(4, 6):
+        for m in range(1 << (n * (n - 1) // 2)):
+            g = graphmod.from_edge_mask(n, m)
+            partitions = list(_star_partitions(g))
+            assert set(partitions) == set(_partitions(g))
+            for p in partitions:
+                members, nontrivial, distributive = _gf2_oracle(g, p)
+                w = block_spaces(g, p)
+                assert (w.w_i, w.w_j, w.w_k) == members
+                cls = classify(g, p)
+                assert (cls.nontrivial_intersection, cls.distributive) == (
+                    nontrivial,
+                    distributive,
+                )
+                checked += 1
+    assert checked == 13632
+
+
+def _gf2_find_nontrivial(g):
+    """The partition find_star_partition(g, require_nontrivial=True) should
+    return: the smallest (c, i, j) whose triple intersection is nontrivial."""
+    for p in sorted(_star_partitions(g), key=lambda p: (p.c, p.i, p.j)):
+        if _gf2_oracle(g, p)[1]:
+            return p
+    return None
+
+
+def test_nontrivial_search_matches_gf2_search_on_a_sample():
+    rng = random.Random(58)
+    positives = negatives = 0
+    for n in (6, 6, 6, 7) * 12:
+        g = _random_graph(rng, n)
+        expect = _gf2_find_nontrivial(g)
+        assert find_star_partition(g, require_nontrivial=True) == expect
+        if expect is None:
+            negatives += 1
+        else:
+            positives += 1
+    assert positives >= 5 and negatives > 0
