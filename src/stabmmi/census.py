@@ -2,42 +2,36 @@
 
 Entropy vectors are aggregated into distinct-vector sets and qubit-exchange
 classes with MMI tallies.  Every census entropy vector comes from the
-support-counting kernel of `entropy`, fed CHUNK generator rows at a time.
+support-counting kernel of `entropy`, fed CHUNK labeled graphs at a time:
+row m holds the adjacency masks of the graph with edge mask m, and a graph
+state's generators are X on vertex v times Z on its neighbours.
 Exchange classes are minimised over the relabeling tables of `entropy`,
 each relabeling orbit once.
 
-An unsigned stabilizer group is a maximal symplectically self-orthogonal
-subspace of Z_2^{2n}.  It is fixed by the RREF basis of the span T of its
-X-parts, with pivot columns p (t = dim T), and a symmetric binary t×t
-matrix over that basis; the kernel of the RREF rows adds n − t Z-only
-generators.  All groups with one pivot set form a cell.  Group r of a cell
-has generator rows base + bits(r) · weights, and its index bits, least
-significant first, are:
+Both censuses walk the same graph rows: the group census weights each.  An
+unsigned stabilizer group is a maximal symplectically self-orthogonal
+subspace of Z_2^{2n}.  Every one is local-Clifford equivalent to a graph
+state (Van den Nest, Dehaene, De Moor, PRA 69, 022316, 2004), and local
+Cliffords change no subsystem entropy.  The weight counts an explicit
+bijection.  Put the X-parts of a group in RREF, with pivot qubits P and
+free qubits F = V ∖ P.  The group is then fixed by a symmetric P×P matrix M
+and by the free RREF entries A, which sit at (p, c) with c > p only.  H on
+every qubit of F, then S on each pivot whose diagonal bit of M is set, gives
+the graph state Γ with edges M among P, A between P and F, and none inside F.
 
-* triangle: bit (i, j), i < j, sets bit p_j of z_i and bit p_i of z_j;
-* free RREF entry: bit (i, c), c > p_i not a pivot, sets bit c of x_i and
-  bit p_i of the kernel row of column c;
-* diagonal: the top t bits; bit i sets bit p_i of z_i.
-
-Every bit sets different output bits, so the sum is their OR.  Summed over
-all pivot sets, the cells reproduce the product formula ∏(2^k + 1).  The
-cell p = (0, …, n − 1) holds the labeled graphs: x is the identity, z the
-adjacency matrix, and the index below the diagonal bits is the edge mask.
-
-With the X-part in RREF, generator i is the only one with an X on qubit
-p_i, so diagonal bit i is the phase gate S on that qubit: a local unitary,
-which changes no subsystem entropy.  The censuses therefore stop each cell
-before its top t bits and count each group row 2^t times (each graph once):
-∏_{k<n}(1 + 2^k) rows cover all ∏(2^k + 1) groups.
+Let D(Γ) be the vertices with no larger neighbour (an independent set).  A
+vertex set is the free set F of a group mapped to Γ exactly when F ⊆ D(Γ),
+and the 2^(n−|F|) diagonals of M are then free.  So Γ stands for
+Σ_{F⊆D} 2^(n−|F|) = 2^(n−d)·3^d groups, with d = |D(Γ)|; over all graphs
+these weights total ∏(2^k + 1).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -113,7 +107,7 @@ def stabilizer_group_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cells: the groups with one X-part pivot set
+# graph rows
 
 
 def _check_size(n: int, source: str, allow_heavy: bool = False) -> None:
@@ -128,80 +122,70 @@ def _check_size(n: int, source: str, allow_heavy: bool = False) -> None:
         raise ValueError(f"unknown source {source!r}")
 
 
-def _pivot_sets(n: int, source: str):
-    """Pivot sets of the cells a census walks: all qubits for graphs, every
-    subset, by size, for groups."""
-    if source == "graphs":
-        return [tuple(range(n))]
-    return chain.from_iterable(combinations(range(n), t) for t in range(n + 1))
-
-
-def _cell(n: int, pivots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Base row and per-index-bit weights (least significant bit first) of
-    the cell with X-part pivots `pivots`; x in columns :n, z in columns n:."""
-    t = len(pivots)
-    free = [c for c in range(n) if c not in pivots]
-    base = np.zeros(2 * n, dtype=np.int64)
-    base[:t] = [1 << p for p in pivots]
-    base[n + t :] = [1 << c for c in free]
-    # each index bit as the (column, bit) pairs it sets
-    bits = [
-        [(n + i, pivots[j]), (n + j, pivots[i])] for i, j in combinations(range(t), 2)
-    ]
-    bits += [
-        [(i, c), (n + t + k, pivots[i])]
-        for i in range(t)
-        for k, c in enumerate(free)
-        if c > pivots[i]
-    ]
-    bits += [[(n + i, pivots[i])] for i in range(t)]
-    weights = np.zeros((len(bits), 2 * n), dtype=np.int64)
-    for b, sets in enumerate(bits):
-        for column, bit in sets:
-            weights[b, column] = 1 << bit
-    return base, weights
-
-
 @lru_cache(maxsize=1)
-def _cell_table(n: int, pivots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of a cell's first CHUNK indices (all of them, if fewer), and the
-    weights of its higher index bits.  Only the last cell is kept, read-only,
-    since every caller shares it."""
-    base, weights = _cell(n, pivots)
-    low = base[None]
+def _graph_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency rows of the first CHUNK edge masks (all of them, if fewer),
+    and the row weights of the higher edge bits.  Edge bit b is the b-th
+    pair (i, j), i < j, in lexicographic order.  Only the last n is kept,
+    read-only, since every caller shares it."""
+    weights = np.zeros((n * (n - 1) // 2, n), dtype=np.int64)
+    for b, (i, j) in enumerate(combinations(range(n), 2)):
+        weights[b, i], weights[b, j] = 1 << j, 1 << i
+    low = np.zeros((1, n), dtype=np.int64)
     for weight in weights[:_CHUNK_BITS]:
         low = np.concatenate([low, low + weight])
     low.flags.writeable = weights.flags.writeable = False
     return low, weights[_CHUNK_BITS:]
 
 
-def _cell_rows(n: int, pivots: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """Generator rows of the groups start..stop−1 of a cell, for one chunk:
-    start a multiple of CHUNK, stop − start ≤ CHUNK."""
-    low, high = _cell_table(n, pivots)
+def _graph_rows(n: int, start: int, stop: int) -> np.ndarray:
+    """Adjacency rows of the edge masks start..stop−1, for one chunk: start a
+    multiple of CHUNK, stop − start ≤ CHUNK."""
+    low, high = _graph_table(n)
     return low[: stop - start] + _index_bits(np.array([start >> _CHUNK_BITS]), len(high)) @ high
 
 
-def _chunks(n: int, pivots: tuple[int, ...], diagonals: bool = False):
-    """(start, stop) of each chunk of a cell's indices, stopping before the
-    top t (diagonal) bits unless `diagonals`."""
-    width = len(_cell(n, pivots)[1]) - (0 if diagonals else len(pivots))
-    return [(s, min(s + CHUNK, 1 << width)) for s in range(0, 1 << width, CHUNK)]
+def _graph_chunks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each chunk of the edge masks."""
+    total = 1 << (n * (n - 1) // 2)
+    return [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
+
+
+def _graph_entropy_rows(adj: np.ndarray) -> np.ndarray:
+    """Kernel entropy rows of a batch of graph states."""
+    return _entropy_rows(np.broadcast_to(1 << np.arange(adj.shape[1]), adj.shape), adj)
+
+
+def _group_weights(adj: np.ndarray) -> np.ndarray:
+    """Groups per graph row, 2^(n−d)·3^d: d counts the vertices with no
+    larger neighbour."""
+    n = adj.shape[1]
+    d = (adj >> np.arange(1, n + 1) == 0).sum(axis=1)
+    return (1 << (n - d)) * 3**d
 
 
 def enumerate_stabilizer_groups(n: int):
-    """Each unsigned stabilizer group once, as a canonical-RREF Tableau:
-    every index of every cell, diagonal bits included."""
+    """Each unsigned stabilizer group once, as a canonical-RREF Tableau: from
+    each graph Γ, each free set F ⊆ D(Γ) and each phase subset of V ∖ F, S
+    on the phase subset, then H on F."""
     _check_size(n, "groups")
-    low = (1 << n) - 1
-    for pivots in _pivot_sets(n, "groups"):
-        for start, stop in _chunks(n, pivots, diagonals=True):
-            for row in _cell_rows(n, pivots, start, stop).tolist():
-                gens = tuple(x | (z << n) for x, z in zip(row[:n], row[n:]))
-                reduced, _ = rref(BitMatrix(gens, 2 * n))
+    full = (1 << n) - 1
+    for start, stop in _graph_chunks(n):
+        for adj in _graph_rows(n, start, stop).tolist():
+            d_set = sum(1 << v for v in range(n) if not adj[v] >> (v + 1))
+            for free, phases in product(range(full + 1), repeat=2):
+                if free & ~d_set or phases & free:
+                    continue
+                gens = []
+                for v, zv in enumerate(adj):
+                    xv = 1 << v
+                    zv ^= xv & phases
+                    swap = (xv ^ zv) & free
+                    gens.append(xv ^ swap | (zv ^ swap) << n)
+                reduced, _ = rref(BitMatrix(tuple(gens), 2 * n))
                 yield Tableau(
                     n,
-                    BitMatrix(tuple(r & low for r in reduced.rows), n),
+                    BitMatrix(tuple(r & full for r in reduced.rows), n),
                     BitMatrix(tuple(r >> n for r in reduced.rows), n),
                 )
 
@@ -210,12 +194,16 @@ def enumerate_stabilizer_groups(n: int):
 # distinct-vector tallies
 
 
-def _tally_rows(rows: np.ndarray, start: int, weight: int = 1) -> dict[bytes, tuple[int, int]]:
-    """Distinct rows in first-seen order -> (weight × count, start + first
-    row index)."""
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    return {key: (cnt * weight, start + first[key]) for key, cnt in Counter(keys).items()}
+def _tally_rows(
+    rows: np.ndarray, start: int, weights: np.ndarray | None = None
+) -> dict[bytes, tuple[int, int]]:
+    """Distinct rows in first-seen order -> (row count, or summed row
+    weights, start + first row index)."""
+    view = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    keys, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    counts = np.bincount(inverse, weights).astype(np.int64)[order]
+    return dict(zip(keys[order].tolist(), zip(counts.tolist(), (start + first[order]).tolist())))
 
 
 def _merge_tallies(parts) -> dict[bytes, tuple[int, int]]:
@@ -229,24 +217,19 @@ def _merge_tallies(parts) -> dict[bytes, tuple[int, int]]:
 
 
 def _chunk_tally(task) -> dict[bytes, tuple[int, int]]:
-    n, pivots, start, stop, weight = task
-    rows = _cell_rows(n, pivots, start, stop)
-    return _tally_rows(_entropy_rows(rows[:, :n], rows[:, n:]), start, weight)
+    n, source, start, stop = task
+    adj = _graph_rows(n, start, stop)
+    weights = _group_weights(adj) if source == "groups" else None
+    return _tally_rows(_graph_entropy_rows(adj), start, weights)
 
 
 def _vector_counts(n: int, source: str, jobs: int = 1) -> dict[bytes, tuple[int, int]]:
-    """Distinct entropy vectors over all labeled graphs or all unsigned
-    stabilizer groups, from the indices of their cells below the diagonal
-    bits.
+    """Distinct entropy vectors over all labeled graphs, or over all unsigned
+    stabilizer groups as graphs weighted by the groups each stands for.
 
-    Returns vector-bytes -> (graph or group count, first index in its cell);
-    a graph's index is its edge mask.  A group row stands for its 2^t
-    diagonals.  `jobs` worker processes share the graph census only."""
-    tasks = [
-        (n, pivots, start, stop, 1 << len(pivots) if source == "groups" else 1)
-        for pivots in _pivot_sets(n, source)
-        for start, stop in _chunks(n, pivots)
-    ]
+    Returns vector-bytes -> (graph or group count, edge mask of its first
+    graph).  `jobs` worker processes share the graph census only."""
+    tasks = [(n, source, start, stop) for start, stop in _graph_chunks(n)]
     if source == "graphs" and jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(jobs) as pool:
             return _merge_tallies(pool.map(_chunk_tally, tasks))
@@ -308,7 +291,8 @@ def state_census(n: int, jobs: int = 1) -> CensusRow:
     """Per-state MMI bucket counts over all signed stabilizer states.
 
     A class's tally is that of each member vector, since relabeling qubits
-    permutes the MMI instances among themselves."""
+    permutes the MMI instances among themselves.  `jobs` is accepted and
+    ignored: the group census runs in one process."""
     result = vector_census(n, source="groups", jobs=jobs)
     saturate = satisfy = fail = failing_vectors = 0
     for info in result.classes.values():
@@ -388,10 +372,8 @@ def nontrivial_intersection_scan(n: int) -> dict:
     counterexamples = []
     searched = 0
     fails_cache: dict[bytes, bool] = {}
-    pivots = tuple(range(n))
-    for start, stop in _chunks(n, pivots):
-        gens = _cell_rows(n, pivots, start, stop)
-        for offset, row in enumerate(_entropy_rows(gens[:, :n], gens[:, n:])):
+    for start, stop in _graph_chunks(n):
+        for offset, row in enumerate(_graph_entropy_rows(_graph_rows(n, start, stop))):
             key = row.tobytes()
             fails = fails_cache.get(key)
             if fails is None:

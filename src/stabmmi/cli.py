@@ -2,8 +2,8 @@
 
 Subcommands: entropy, mmi, circuit, classify, census, report.
 The per-state commands (entropy, mmi, circuit, classify) take 1 to 8 qubits.
-Exit codes: 0 success, 1 usage error, 2 input parse error,
-3 size cap exceeded, 4 internal invariant violation.
+Exit codes: 0 success, 1 usage error (an unwritable output path included),
+2 input parse error, 3 size cap exceeded, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -212,10 +212,13 @@ def cmd_classify(args) -> int:
 
 
 def _write(path: str | None, text: str) -> None:
-    if path:
-        Path(path).write_text(text)
-    else:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_census(args) -> int:
@@ -306,15 +309,18 @@ def cmd_report(args) -> int:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"{args.census}: malformed class record: {exc!r}") from exc
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for cid, body in pages:
-        (outdir / f"class-{cid}.html").write_text(body)
-    items = "".join(f'<li><a href="class-{cid}.html">Class {cid}</a></li>' for cid, _ in pages)
-    index = (
-        "<html><head><title>Census n={n}</title></head><body>"
-        "<h1>Entropy-vector classes, n={n}</h1><ul>{items}</ul></body></html>"
-    ).format(n=data.get("n", "?"), items=items)
-    (outdir / "index.html").write_text(index)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for cid, body in pages:
+            (outdir / f"class-{cid}.html").write_text(body)
+        items = "".join(f'<li><a href="class-{cid}.html">Class {cid}</a></li>' for cid, _ in pages)
+        index = (
+            "<html><head><title>Census n={n}</title></head><body>"
+            "<h1>Entropy-vector classes, n={n}</h1><ul>{items}</ul></body></html>"
+        ).format(n=data.get("n", "?"), items=items)
+        (outdir / "index.html").write_text(index)
+    except OSError as exc:
+        raise UsageError(f"cannot write to {outdir}: {exc}") from exc
     print(f"wrote {len(pages) + 1} pages to {outdir}")
     return EXIT_OK
 

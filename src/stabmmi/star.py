@@ -147,12 +147,16 @@ def _dim(w: frozenset[int]) -> int:
     return len(w).bit_length() - 1
 
 
-def block_spaces(g: Graph, p: StarPartition) -> BlockSpaces:
-    if not is_generalized_star(g, p):
-        raise ValueError("partition is not a generalized star")
+def _spans(g: Graph, p: StarPartition) -> BlockSpaces:
     return BlockSpaces(
         *(_span(g.adj[u] & p.c for u in _bits(block)) for block in (p.i, p.j, p.k))
     )
+
+
+def block_spaces(g: Graph, p: StarPartition) -> BlockSpaces:
+    if not is_generalized_star(g, p):
+        raise ValueError("partition is not a generalized star")
+    return _spans(g, p)
 
 
 def _cij_dims(w: BlockSpaces) -> tuple[int, int]:
@@ -287,9 +291,9 @@ def find_star_partition(
     smallest (c, i, j) mask triple)."""
     best: StarPartition | None = None
     best_key = None
-    for p in _partitions(g):
+    for p in _partitions(g):  # each a star by construction: no re-validation
         if require_nontrivial:
-            w = block_spaces(g, p)
+            w = _spans(g, p)
             if len(w.w_i & w.w_j & w.w_k) == 1:
                 continue
         key = (

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from stabmmi import census as C
 from stabmmi import graphs as graphmod
 from stabmmi import tableau as tabmod
 from stabmmi.entropy import EntropyVector, _entropy_rows, entropy_vector, mmi_tally
-from stabmmi.gf2 import BitMatrix
+from stabmmi.gf2 import BitMatrix, rref
 from stabmmi.graphs import CapExceeded, enumerate_graphs, from_edges
 from stabmmi.star import find_star_partition
-from stabmmi.tableau import Tableau
 
 from oracles import brute_canonical, brute_lagrangians, span_elements
 
@@ -68,65 +68,74 @@ def test_support_counting_matches_rank_entropies():
         assert entropy_vector(g).values == rank_entropies(g)
 
 
-def graph_cell_rows(n, start, stop):
-    return C._cell_rows(n, tuple(range(n)), start, stop)
-
-
 def test_numpy_graph_batch_matches_python():
     """Kernel rows of an edge-mask window equal the rank-per-mask oracle, and
-    row m of the graph cell is the graph with edge mask m."""
+    row m of the graph rows is the adjacency of the graph with edge mask m."""
     for n in (6, 7):
         start = C.CHUNK + 1234
-        gens = graph_cell_rows(n, C.CHUNK, 2 * C.CHUNK)[1234 : 1234 + 64]
-        vals = _entropy_rows(gens[:, :n], gens[:, n:])
+        vals = C._graph_entropy_rows(C._graph_rows(n, C.CHUNK, 2 * C.CHUNK))[1234 : 1234 + 64]
         assert vals.shape == (64, (1 << n) - 1)
         for offset in range(64):
             g = graphmod.from_edge_mask(n, start + offset)
             assert tuple(vals[offset].tolist()) == rank_entropies(g)
     for n in range(1, 6):
         total = 1 << (n * (n - 1) // 2)
-        identity = [1 << v for v in range(n)]
-        for m, row in enumerate(graph_cell_rows(n, 0, total).tolist()):
-            assert (row[:n], tuple(row[n:])) == (identity, graphmod.from_edge_mask(n, m).adj)
+        for m, row in enumerate(C._graph_rows(n, 0, total).tolist()):
+            assert tuple(row) == graphmod.from_edge_mask(n, m).adj
 
 
-def diagonal_variants(x_rows, z_rows):
-    """The group with each of its 2^t diagonals: phase gates on the pivot
-    qubits of its t generators with a nonzero X-part."""
-    n = len(x_rows)
-    pivots = [xr & -xr for xr in x_rows]
-    t = sum(1 for p in pivots if p)
-    for diagonal in range(1 << t):
-        z = [zr ^ (p * ((diagonal >> i) & 1)) for i, (zr, p) in enumerate(zip(z_rows, pivots))]
-        yield Tableau(n, BitMatrix(tuple(x_rows), n), BitMatrix(tuple(z), n))
+def subsets(items):
+    return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
 
 
-def phase_free_rows(n):
-    """Generator rows of the census: each cell below its diagonal bits."""
-    for pivots in C._pivot_sets(n, "groups"):
-        for start, stop in C._chunks(n, pivots):
-            yield C._cell_rows(n, pivots, start, stop)
+def graph_groups(g):
+    """The groups graph g stands for, built with the tableau gates: for each
+    free set F of vertices with no larger neighbour, and each phase subset
+    of the other qubits, S on the phase subset, then H on F."""
+    lonely = [v for v in range(g.n) if not g.adj[v] >> (v + 1)]
+    for free in subsets(lonely):
+        for phases in subsets([v for v in range(g.n) if v not in free]):
+            t = tabmod.from_graph(g)
+            for v in phases:
+                t = tabmod.apply_s(t, v + 1)
+            for v in free:
+                t = tabmod.apply_h(t, v + 1)
+            yield t
+
+
+def canonical_group(t):
+    n = t.n
+    return rref(BitMatrix(tuple(x | (z << n) for x, z in zip(t.x.rows, t.z.rows)), 2 * n))[0].rows
 
 
 def test_numpy_group_batch_matches_python():
-    """Each produced row equals the rank-per-mask entropies of every one of
-    its 2^t diagonal variants: phase gates change no entropy."""
+    """Every group built from a graph, n ≤ 4, has the rank-per-mask entropies
+    of the graph's kernel row; the graph's weight counts them, and together
+    they are every group once."""
     for n in (1, 2, 3, 4):
-        for gens in phase_free_rows(n):
-            rows = _entropy_rows(gens[:, :n], gens[:, n:])
-            for row, gen in zip(rows, gens.tolist()):
-                for t in diagonal_variants(gen[:n], gen[n:]):
-                    assert tuple(row.tolist()) == rank_entropies(t)
+        total = 1 << (n * (n - 1) // 2)
+        adj = C._graph_rows(n, 0, total)
+        seen = set()
+        for m, (row, weight) in enumerate(zip(C._graph_entropy_rows(adj), C._group_weights(adj))):
+            g = graphmod.from_edge_mask(n, m)
+            groups = list(graph_groups(g))
+            assert len(groups) == weight
+            assert tuple(row.tolist()) == rank_entropies(g)
+            for t in groups:
+                assert rank_entropies(t) == rank_entropies(g)
+                seen.add(canonical_group(t))
+        assert len(seen) == C.stabilizer_group_count(n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_group_rows_and_weights_total(n):
-    """∏_{k<n}(1 + 2^k) produced rows, whose 2^t weights total every group."""
+    """One row per labeled graph, whose 2^(n−d)·3^d weights total every group."""
     rows = weights = 0
-    for gens in phase_free_rows(n):
-        rows += gens.shape[0]
-        weights += sum(1 << sum(1 for xr in gen[:n] if xr) for gen in gens.tolist())
-    assert rows == np.prod([1 + (1 << k) for k in range(n)])
+    for start, stop in C._graph_chunks(n):
+        adj = C._graph_rows(n, start, stop)
+        rows += len(adj)
+        weights += int(C._group_weights(adj).sum())
+    assert rows == 1 << (n * (n - 1) // 2)
     assert weights == C.stabilizer_group_count(n)
 
 
@@ -142,24 +151,19 @@ def test_weighted_group_counts_match_every_group(n):
     assert weighted == plain
 
 
-def test_every_n6_cell_matches_rank_entropies():
-    """Sampled groups of every n = 6 cell, diagonal bits included, are valid
-    tableaux whose kernel rows equal the rank-per-mask oracle."""
-    n = 6
+def test_sampled_graph_groups_match_rank_entropies():
+    """Seeded graphs at n = 5, 6: every group built from each has the
+    rank-per-mask entropies of the graph's kernel row."""
     rng = random.Random(66)
-    cells = list(C._pivot_sets(n, "groups"))
-    assert len(cells) == 1 << n
-    for pivots in cells:
-        total = 1 << len(C._cell(n, pivots)[1])
-        indices = {0, total - 1} | {rng.randrange(total) for _ in range(20)}
-        gens = np.array(
-            [C._cell_rows(n, pivots, r - r % C.CHUNK, r + 1)[-1] for r in sorted(indices)]
-        )
-        rows = _entropy_rows(gens[:, :n], gens[:, n:])
-        for row, gen in zip(rows, gens.tolist()):
-            t = Tableau(n, BitMatrix(tuple(gen[:n]), n), BitMatrix(tuple(gen[n:]), n))
-            assert [xr & -xr for xr in gen[: len(pivots)]] == [1 << p for p in pivots]
-            assert tuple(row.tolist()) == rank_entropies(t)
+    for n, count in ((5, 8), (6, 4)):
+        masks = [rng.randrange(1 << (n * (n - 1) // 2)) for _ in range(count)]
+        adj = np.array([graphmod.from_edge_mask(n, m).adj for m in masks])
+        for m, row, weight in zip(masks, C._graph_entropy_rows(adj), C._group_weights(adj)):
+            groups = list(graph_groups(graphmod.from_edge_mask(n, m)))
+            assert len(groups) == weight
+            assert len({canonical_group(t) for t in groups}) == weight
+            for t in groups:
+                assert rank_entropies(t) == tuple(row.tolist())
 
 
 @pytest.mark.parametrize(

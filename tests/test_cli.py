@@ -434,3 +434,17 @@ def test_census_jobs_environment_is_checked(run, monkeypatch, value):
     assert (code, out) == (1, "")
     assert err.startswith("usage error:") and "--jobs" in err
     assert run("census", "--table14", "3", "--jobs", "1")[0] == 0
+
+
+def test_census_unwritable_output_is_a_usage_error(run, tmp_path):
+    code, out, err = run("census", "--table14", "3", "-o", str(tmp_path / "missing" / "x.csv"))
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
+
+
+def test_report_unwritable_output_dir_is_a_usage_error(run, tmp_path):
+    census_json = tmp_path / "c3.json"
+    assert run("census", "--classes", "3", "--json", "-o", str(census_json))[0] == 0
+    code, out, err = run("report", str(census_json), "-d", str(census_json))
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:")
