@@ -40,14 +40,13 @@ from . import star as starmod
 from .entropy import EntropyVector, MmiTally, mmi_tally, relabeled, relabelings
 from .entropy import _entropy_rows, _index_bits
 from .gf2 import BitMatrix, rref
-from .graphs import CapExceeded, Graph, enumerate_graphs
+from .graphs import CapExceeded, Graph
 from .tableau import Tableau
 
 __all__ = [
     "CensusRow",
     "ClassInfo",
     "CensusResult",
-    "enumerate_graphs",
     "enumerate_stabilizer_groups",
     "stabilizer_group_count",
     "vector_census",
@@ -110,11 +109,11 @@ def stabilizer_group_count(n: int) -> int:
 # graph rows
 
 
-def _check_size(n: int, source: str, allow_heavy: bool = False) -> None:
+def _check_size(n: int, source: str) -> None:
     """Raise CapExceeded for sizes outside the census caps."""
     if source == "graphs":
-        if not 1 <= n <= 8 or (n == 8 and not allow_heavy):
-            raise CapExceeded("graph census capped at 1 ≤ n ≤ 7 (8 with allow_heavy)")
+        if not 1 <= n <= 7:
+            raise CapExceeded("graph census capped at 1 ≤ n ≤ 7")
     elif source == "groups":
         if not 1 <= n <= 6:
             raise CapExceeded("group census capped at 1 ≤ n ≤ 6")
@@ -256,14 +255,12 @@ def _canonical_values(
     return canon
 
 
-def vector_census(
-    n: int, source: str = "graphs", jobs: int = 1, allow_heavy: bool = False
-) -> CensusResult:
+def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult:
     """Distinct entropy vectors and exchange classes over one source family.
 
     `jobs` worker processes share the graph census; the group census runs
     in one process, where a pool would cost more to start than it saves."""
-    _check_size(n, source, allow_heavy)
+    _check_size(n, source)
     raw = _vector_counts(n, source, jobs)
     reps = {
         tuple(key): graphmod.from_edge_mask(n, first) if source == "graphs" else None
@@ -329,8 +326,6 @@ def four_star_conjecture_scan(n: int, budget: int = 10**6, jobs: int = 1) -> dic
     """For every MMI-failing entropy vector, search a realizing graph's LC
     orbit for an induced four-star; counterexamples are expected empty."""
     _check_size(n, "graphs")
-    if n < 4:
-        return {"n": n, "failing_vectors": 0, "witnesses": [], "counterexamples": []}
     raw = _vector_counts(n, "graphs", jobs)
     witnesses = []
     counterexamples = []
@@ -383,7 +378,7 @@ def nontrivial_intersection_scan(n: int) -> dict:
                 continue  # implication holds whatever the partitions are
             searched += 1
             g = graphmod.from_edge_mask(n, start + offset)
-            if starmod.find_star_partition(g, require_nontrivial=True) is not None:
+            if starmod.find_star_partition(g) is not None:
                 counterexamples.append(graphmod.to_graph6(g))
     return {
         "n": n,

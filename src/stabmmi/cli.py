@@ -60,6 +60,14 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _parse_json(text: str, where: str):
+    """json.loads, with a malformed or too deeply nested text a ParseError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def load_source(path: str, fmt: str | None = None):
     """Read a Graph or Tableau from .g6 / .json / .txt input."""
     p = Path(path)
@@ -69,17 +77,18 @@ def load_source(path: str, fmt: str | None = None):
         if suffix == "g6":
             return graphmod.from_graph6(text)
         if suffix == "json":
-            data = json.loads(text)
+            data = _parse_json(text, path)
             if "edges" in data:
+                _check_qubits(int(data["n"]))  # before Graph's O(n²) validation
                 return graphmod.from_json(text)
             if "tableau" in data:
                 return tabmod.parse_tableau("\n".join(data["tableau"]))
             raise ParseError(f"{path}: JSON needs an 'edges' or 'tableau' key")
         if suffix == "txt":
             return tabmod.parse_tableau(text)
-    except ParseError:
+    except (ParseError, graphmod.CapExceeded):
         raise
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     raise UsageError(f"cannot infer format of {path}; pass --format g6|json|txt")
 
@@ -105,7 +114,7 @@ def cmd_mmi(args) -> int:
     ev = entmod.entropy_vector(source)
     include = not args.skip_full_union
     print("instance-I,instance-J,instance-K,outcome")
-    instances = entmod.mmi_instances(ev.n, include) if ev.n >= 3 else []
+    instances = entmod.mmi_instances(ev.n, include)
     signs = entmod.mmi_signs(ev, include)
     for inst, sign in zip(instances, signs.tolist()):
         print(
@@ -117,64 +126,56 @@ def cmd_mmi(args) -> int:
     return EXIT_OK
 
 
-def _parse_gate_line(line: str, lineno: int):
-    parts = line.split()
-    name = parts[0].upper()
+# gate name -> (operand count, tableau update)
+GATES = {
+    "H": (1, tabmod.apply_h),
+    "S": (1, tabmod.apply_s),
+    "CNOT": (2, tabmod.apply_cnot),
+    "CZ": (2, tabmod.apply_cz),
+}
+
+
+def _parse_gate_line(line: str, lineno: int) -> tuple[str, tuple[int, ...]]:
+    name, *operands = line.split()
+    name = name.upper()
     try:
-        if name in ("H", "S") and len(parts) == 2:
-            return name, (int(parts[1]),)
-        if name in ("CNOT", "CZ") and len(parts) == 3:
-            return name, (int(parts[1]), int(parts[2]))
-    except ValueError:
+        if GATES[name][0] == len(operands):
+            return name, tuple(map(int, operands))
+    except (KeyError, ValueError):
         pass
     raise ParseError(f"line {lineno}: malformed gate line {line!r}")
 
 
 def cmd_circuit(args) -> int:
-    script = _read_text(args.script)
-    lines = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(script.splitlines())
+    gates = [
+        (i + 1, *_parse_gate_line(ln.strip(), i + 1))
+        for i, ln in enumerate(_read_text(args.script).splitlines())
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    if args.n is not None:
-        n = args.n
-    else:
-        hi = 0
-        for lineno, ln in lines:
-            _, operands = _parse_gate_line(ln, lineno)
-            hi = max(hi, *operands)
-        n = max(hi, 1)
+    n = args.n if args.n is not None else max([1, *(q for _, _, ops in gates for q in ops)])
     _check_qubits(n)
     t = tabmod.zero_state(n)
-    instances = entmod.mmi_instances(n) if n >= 3 else []
+    instances = entmod.mmi_instances(n)
     ev = entmod.entropy_vector(t)
     signs = entmod.mmi_signs(ev)
-    print("initial ranks: " + _render_ranks(ev))
-    for lineno, ln in lines:
-        name, operands = _parse_gate_line(ln, lineno)
+    out = ["initial ranks: " + _render_ranks(ev)]  # written once every gate has applied
+    for lineno, name, operands in gates:
         try:
-            if name == "H":
-                t = tabmod.apply_h(t, *operands)
-            elif name == "S":
-                t = tabmod.apply_s(t, *operands)
-            elif name == "CNOT":
-                t = tabmod.apply_cnot(t, *operands)
-            else:
-                t = tabmod.apply_cz(t, *operands)
+            t = GATES[name][1](t, *operands)
         except (IndexError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
         ev = entmod.entropy_vector(t)
-        print(f"after {name} {' '.join(map(str, operands))}: " + _render_ranks(ev))
+        out.append(f"after {name} {' '.join(map(str, operands))}: " + _render_ranks(ev))
         now = entmod.mmi_signs(ev)
         for idx in (now != signs).nonzero()[0].tolist():
             inst = instances[idx]
-            print(
+            out.append(
                 f"  MMI({_render_subset(inst.i)};{_render_subset(inst.j)};"
                 f"{_render_subset(inst.k)}): {entmod.MmiOutcome.of_sign(signs[idx]).value}"
                 f" -> {entmod.MmiOutcome.of_sign(now[idx]).value}"
             )
         signs = now
+    sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK
 
 
@@ -191,17 +192,17 @@ def cmd_classify(args) -> int:
     if not isinstance(g, graphmod.Graph):
         raise ParseError("classify needs a graph input")
     if args.partition:
+        data = _parse_json(args.partition, "bad partition")
         try:
-            data = json.loads(args.partition)
             p = starmod.StarPartition.from_sets(
                 g.n, data["C"], data["I"], data["J"], data["K"]
             )
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise ParseError(f"bad partition: {exc}") from exc
         if not starmod.is_generalized_star(g, p):
             raise ParseError("explicit partition is not a generalized star")
     else:
-        p = starmod.find_star_partition(g, require_nontrivial=True, maximize_cij=True)
+        p = starmod.find_star_partition(g, maximize_cij=True)
         if p is None:
             print(json.dumps({"result": "no qualifying partition"}))
             return EXIT_OK
@@ -238,37 +239,33 @@ def cmd_census(args) -> int:
         result = censusmod.vector_census(
             args.classes, source=args.source, jobs=jobs
         )
-        ordered = sorted(result.classes.items())
+        records = [
+            {
+                "class_id": cid,
+                "canonical_vector": list(canon),
+                "state_count": info.state_count,
+                "member_vectors": info.member_vectors,
+                "satisfies": info.tally.satisfies,
+                "saturates": info.tally.saturates,
+                "fails": info.tally.fails,
+                "representative_graph6": (
+                    None if info.representative is None else graphmod.to_graph6(info.representative)
+                ),
+            }
+            for cid, (canon, info) in enumerate(sorted(result.classes.items()), start=1)
+        ]
         if args.json:
-            records = []
-            for cid, (canon, info) in enumerate(ordered, start=1):
-                records.append(
-                    {
-                        "class_id": cid,
-                        "canonical_vector": list(canon),
-                        "state_count": info.state_count,
-                        "member_vectors": info.member_vectors,
-                        "satisfies": info.tally.satisfies,
-                        "saturates": info.tally.saturates,
-                        "fails": info.tally.fails,
-                        "representative_graph6": (
-                            None
-                            if info.representative is None
-                            else graphmod.to_graph6(info.representative)
-                        ),
-                    }
-                )
-            _write(args.output, json.dumps({"n": args.classes, "classes": records},
-                                           sort_keys=True, indent=1) + "\n")
+            text = json.dumps({"n": args.classes, "classes": records}, sort_keys=True, indent=1)
         else:
-            lines = ["class_id,canonical_vector,state_count,satisfies,saturates,fails"]
-            for cid, (canon, info) in enumerate(ordered, start=1):
-                vec = " ".join(map(str, canon))
-                lines.append(
-                    f"{cid},{vec},{info.state_count},{info.tally.satisfies},"
-                    f"{info.tally.saturates},{info.tally.fails}"
-                )
-            _write(args.output, "\n".join(lines) + "\n")
+            text = "\n".join(
+                ["class_id,canonical_vector,state_count,satisfies,saturates,fails"]
+                + [
+                    f"{r['class_id']},{' '.join(map(str, r['canonical_vector']))},"
+                    f"{r['state_count']},{r['satisfies']},{r['saturates']},{r['fails']}"
+                    for r in records
+                ]
+            )
+        _write(args.output, text + "\n")
         return EXIT_OK
     if args.scan_four_star is not None:
         report = censusmod.four_star_conjecture_scan(
@@ -282,16 +279,15 @@ def cmd_census(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        data = json.loads(_read_text(args.census))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.census}: {exc}") from exc
+    data = _parse_json(_read_text(args.census), args.census)
     if not isinstance(data, dict) or not isinstance(data.get("classes", []), list):
         raise ParseError(f"{args.census}: expected an object with a 'classes' list")
-    pages = []  # (class id, HTML page), all built before anything is written
+    pages = []  # (class id, HTML page)
     try:
         for rec in data.get("classes", []):
             cid, g6 = rec["class_id"], rec.get("representative_graph6")
+            if not isinstance(cid, int):  # it names a file
+                raise TypeError(f"class_id {cid!r} is not an integer")
             graph = graphmod.from_graph6(g6) if g6 else None
             edges = ", ".join(f"({u},{v})" for u, v in graph.edges()) if g6 else ""
             pages.append((cid, (
@@ -306,22 +302,25 @@ def cmd_report(args) -> int:
                 '<p><a href="index.html">index</a></p>'
                 "</body></html>"
             )))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"{args.census}: malformed class record: {exc!r}") from exc
-    outdir = Path(args.output_dir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        for cid, body in pages:
-            (outdir / f"class-{cid}.html").write_text(body)
         items = "".join(f'<li><a href="class-{cid}.html">Class {cid}</a></li>' for cid, _ in pages)
         index = (
             "<html><head><title>Census n={n}</title></head><body>"
             "<h1>Entropy-vector classes, n={n}</h1><ul>{items}</ul></body></html>"
         ).format(n=data.get("n", "?"), items=items)
-        (outdir / "index.html").write_text(index)
+        # every file is encoded before any is written: a JSON escape such as
+        # "\udcff" decodes to a lone surrogate, which UTF-8 cannot encode
+        files = [(f"class-{cid}.html", page.encode()) for cid, page in pages]
+        files.append(("index.html", index.encode()))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"{args.census}: malformed census: {exc!r}") from exc
+    outdir = Path(args.output_dir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, body in files:
+            (outdir / name).write_bytes(body)
     except OSError as exc:
         raise UsageError(f"cannot write to {outdir}: {exc}") from exc
-    print(f"wrote {len(pages) + 1} pages to {outdir}")
+    print(f"wrote {len(files)} pages to {outdir}")
     return EXIT_OK
 
 

@@ -198,9 +198,8 @@ def _submasks(mask: int):
 
 
 def mmi_instances(n: int, include_full_union: bool = True) -> list[MmiInstance]:
-    """All unordered triples of pairwise-disjoint nonempty subsystems."""
-    if n < 3:
-        raise ValueError("MMI needs at least three subsystems")
+    """All unordered triples of pairwise-disjoint nonempty subsystems, sorted;
+    none for n < 3."""
     full = (1 << n) - 1
     out = []
     for i in range(1, full + 1):
@@ -234,8 +233,8 @@ def evaluate_mmi(ev: EntropyVector, inst: MmiInstance) -> MmiOutcome:
 @cache
 def _mmi_table(n: int, include_full_union: bool) -> np.ndarray:
     """Masks I|J, I|K, J|K, I, J, K, I|J|K of each MMI instance, one row per
-    instance in `mmi_instances` order (no rows for n < 3); read-only."""
-    instances = mmi_instances(n, include_full_union) if n >= 3 else []
+    instance in `mmi_instances` order; read-only."""
+    instances = mmi_instances(n, include_full_union)
     table = np.array(
         [(t.i | t.j, t.i | t.k, t.j | t.k, t.i, t.j, t.k, t.i | t.j | t.k) for t in instances],
         dtype=np.intp,

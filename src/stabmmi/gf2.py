@@ -1,4 +1,4 @@
-"""Bit-packed GF(2) vectors, matrices, and subspace lattice operations.
+"""Bit-packed GF(2) matrices and subspace lattice operations.
 
 Rows are stored as Python integers with bit ``i`` holding column ``i``
 (little-endian), so row elimination is a single word-parallel XOR.
@@ -10,42 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """A vector in Z_2^len; bit i of `bits` is coordinate i."""
-
-    len: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.len < 0:
-            raise ValueError("negative length")
-        if self.bits >> self.len:
-            raise ValueError("set bits beyond vector length")
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.len != other.len:
-            raise ValueError("length mismatch")
-        return BitVector(self.len, self.bits ^ other.bits)
-
-    def dot(self, other: "BitVector") -> int:
-        if self.len != other.len:
-            raise ValueError("length mismatch")
-        return _popcount(self.bits & other.bits) & 1
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.len:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __str__(self) -> str:
-        return "".join(str(self.get(i)) for i in range(self.len))
 
 
 @dataclass(frozen=True)
@@ -91,13 +55,6 @@ class BitMatrix:
         if not 0 <= j < self.cols:
             raise IndexError(j)
         return (self.rows[i] >> j) & 1
-
-    def row_vectors(self) -> Iterator[BitVector]:
-        for r in self.rows:
-            yield BitVector(self.cols, r)
-
-    def __str__(self) -> str:
-        return "\n".join(str(v) for v in self.row_vectors())
 
 
 def transpose(m: BitMatrix) -> BitMatrix:

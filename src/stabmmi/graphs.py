@@ -73,9 +73,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u - 1] >> (v - 1)) & 1)
 
-    def adjacency_matrix(self) -> BitMatrix:
-        return BitMatrix(self.adj, self.n)
-
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adj = [0] * n

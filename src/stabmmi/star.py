@@ -193,11 +193,7 @@ def mmi_cij_colspace(g: Graph, p: StarPartition) -> MmiOutcome:
     means the inequality holds strictly / with equality / fails.
     """
     lhs, rhs = _cij_dims(block_spaces(g, p))
-    if lhs < rhs:
-        return MmiOutcome.SATISFIES
-    if lhs == rhs:
-        return MmiOutcome.SATURATES
-    return MmiOutcome.FAILS
+    return MmiOutcome.of_sign(rhs - lhs)
 
 
 def entropies_from_blocks(g: Graph, p: StarPartition) -> dict[str, int]:
@@ -283,19 +279,17 @@ def _partitions(g: Graph):
                 yield StarPartition(full ^ m_mask, i_mask, j_mask, k_mask)
 
 
-def find_star_partition(
-    g: Graph, require_nontrivial: bool = False, maximize_cij: bool = False
-) -> StarPartition | None:
-    """Search all generalized-star partitions, optionally requiring a
-    nontrivial triple intersection and maximizing |C∪I∪J| (ties broken by
-    smallest (c, i, j) mask triple)."""
+def find_star_partition(g: Graph, maximize_cij: bool = False) -> StarPartition | None:
+    """Among the generalized-star partitions whose block column spaces share
+    a nonzero vector (W_I ∩ W_J ∩ W_K ≠ {0}), the one with the smallest
+    (c, i, j) mask triple, after the largest |C∪I∪J| if `maximize_cij`; None
+    if there is none."""
     best: StarPartition | None = None
     best_key = None
     for p in _partitions(g):  # each a star by construction: no re-validation
-        if require_nontrivial:
-            w = _spans(g, p)
-            if len(w.w_i & w.w_j & w.w_k) == 1:
-                continue
+        w = _spans(g, p)
+        if len(w.w_i & w.w_j & w.w_k) == 1:
+            continue
         key = (
             -bin(p.c | p.i | p.j).count("1") if maximize_cij else 0,
             p.c,

@@ -13,7 +13,6 @@ from .gf2 import BitMatrix, rank
 
 __all__ = [
     "Tableau",
-    "RankVector",
     "zero_state",
     "apply_h",
     "apply_s",
@@ -51,23 +50,6 @@ class Tableau:
                 sym += bin(self.z.rows[i] & self.x.rows[j]).count("1")
                 if sym & 1:
                     raise ValueError(f"generators {i} and {j} anticommute")
-
-
-@dataclass(frozen=True)
-class RankVector:
-    """R_A = rank of the tableau restricted to subsystem A, per subset mask."""
-
-    n: int
-    entries: dict[int, int]
-
-    def __post_init__(self) -> None:
-        for mask, r in self.entries.items():
-            size = bin(mask).count("1")
-            if not size <= r <= self.n:
-                raise ValueError(f"rank {r} for mask {mask} outside [|A|, n]")
-
-    def __getitem__(self, mask: int) -> int:
-        return self.entries[mask]
 
 
 def zero_state(n: int) -> Tableau:
@@ -144,9 +126,9 @@ def entropy(t: Tableau, a_mask: int) -> int:
     return rank(project(t, a_mask)) - bin(a_mask).count("1")
 
 
-def rank_vector(t: Tableau) -> RankVector:
-    entries = {mask: rank(project(t, mask)) for mask in range(1, 1 << t.n)}
-    return RankVector(t.n, entries)
+def rank_vector(t: Tableau) -> dict[int, int]:
+    """R_A = rank of the tableau restricted to subsystem A, per nonempty mask A."""
+    return {mask: rank(project(t, mask)) for mask in range(1, 1 << t.n)}
 
 
 def from_graph(g) -> Tableau:

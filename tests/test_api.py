@@ -1,0 +1,12 @@
+import importlib
+
+import pytest
+
+import stabmmi
+
+
+@pytest.mark.parametrize("module", stabmmi.__all__)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"stabmmi.{module}")
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"stabmmi.{module}.__all__ names missing {name!r}"

@@ -264,14 +264,22 @@ def test_four_star_scan_small():
     assert report5["counterexamples"] == []
 
 
+def test_four_star_scan_report_keys_do_not_depend_on_n():
+    keys = {"n", "failing_vectors", "witnesses", "counterexamples", "budget_exceeded"}
+    for n in range(1, 6):
+        report = C.four_star_conjecture_scan(n)
+        assert set(report) == keys
+        assert report["failing_vectors"] == (0 if n < 4 else len(report["witnesses"]))
+
+
 def test_intersection_scan_small():
     report = C.nontrivial_intersection_scan(5)
     assert report["counterexamples"] == []
     star5 = from_edges(5, [(1, v) for v in range(2, 6)])
-    assert find_star_partition(star5, require_nontrivial=True) is not None
+    assert find_star_partition(star5) is not None
     assert mmi_tally(entropy_vector(star5)).fails > 0
     p6 = from_edges(6, [(v, v + 1) for v in range(1, 6)])
-    assert find_star_partition(p6, require_nontrivial=True) is None
+    assert find_star_partition(p6) is None
 
 
 def test_paths_and_cycles_never_fail():

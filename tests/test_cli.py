@@ -169,6 +169,26 @@ def test_circuit_malformed_line(run, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "script, n",
+    [
+        ("H 1\nCNOT 2 2\nH 2\n", None),
+        ("H 1\nCNOT 2 2\n", "3"),
+        ("H 1\nH 3\n", "2"),
+        ("H 1\nWOBBLE 2\n", "2"),
+        ("H 1\nCZ 1\n", None),
+    ],
+    ids=["cnot-a-a", "cnot-a-a-n", "out-of-range-n", "bad-name-n", "bad-arity"],
+)
+def test_circuit_error_writes_nothing_to_stdout(run, tmp_path, script, n):
+    """A gate error after valid gates exits 2 before any output."""
+    path = tmp_path / "bad.txt"
+    path.write_text(script)
+    code, out, err = run("circuit", str(path), *(["-n", n] if n else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: line 2:")
+
+
 def test_classify_explicit_partition(run, tmp_path):
     path = write_star4(tmp_path)
     code, out, _ = run(
@@ -291,6 +311,19 @@ def test_untyped_errors_are_internal(run, tmp_path, monkeypatch, error):
     assert err.startswith("internal invariant violation:")
 
 
+@pytest.mark.parametrize("command", ["entropy", "mmi", "classify"])
+def test_declared_size_is_checked_before_the_graph_is_built(run, tmp_path, command):
+    """Validating a 10^5-vertex graph would take minutes: the declared n
+    exits 3 first."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 100000, "edges": []}')
+    start = time.perf_counter()
+    code, out, err = run(command, str(path))
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded:")
+
+
 def test_per_state_cap_from_gate_indices(run, tmp_path):
     script = tmp_path / "wide.txt"
     script.write_text("H 1\nCNOT 1 20\n")
@@ -387,6 +420,34 @@ def test_non_utf8_input_is_a_parse_error(run, tmp_path, command, name):
     assert err.startswith("parse error:")
 
 
+DEEP = "[" * 10**5 + "]" * 10**5
+
+
+@pytest.mark.parametrize(
+    "command,name,text",
+    [
+        ("entropy", "deep.json", DEEP),
+        ("classify", "star.json", DEEP),
+        ("report", "deep.json", DEEP),
+        ("entropy", "inf.json", '{"n": Infinity, "edges": []}'),
+    ],
+    ids=["source-nesting", "partition-nesting", "census-nesting", "infinite-n"],
+)
+def test_json_beyond_the_decoder_is_a_parse_error(run, tmp_path, command, name, text):
+    """JSON nested too deeply to decode was exit 4, and an infinite "n" an
+    OverflowError traceback."""
+    if command == "classify":
+        extra = ["--partition", text]
+        path = write_star4(tmp_path)
+    else:
+        extra = ["-d", str(tmp_path / "html")] if command == "report" else []
+        path = tmp_path / name
+        path.write_text(text)
+    code, out, err = run(command, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+
+
 _RECORD = {
     "class_id": 1, "canonical_vector": [1, 1, 0], "state_count": 3, "member_vectors": 1,
     "satisfies": 0, "saturates": 0, "fails": 0, "representative_graph6": "Bw",
@@ -400,8 +461,13 @@ _RECORD = {
         {"n": 2, "classes": 5},
         {"n": 2, "classes": [{k: v for k, v in _RECORD.items() if k != "class_id"}]},
         {"n": 2, "classes": [{**_RECORD, "representative_graph6": "~~"}]},
+        {"n": 2, "classes": [{**_RECORD, "class_id": "../1"}]},
+        {"n": 2, "classes": [{**_RECORD, "class_id": "1\0"}]},
+        {"n": 2, "classes": [{**_RECORD, "canonical_vector": "\udcff"}]},
+        {"n": "\udcff", "classes": [_RECORD]},
     ],
-    ids=["top-level-list", "classes-not-list", "record-missing-key", "bad-graph6"],
+    ids=["top-level-list", "classes-not-list", "record-missing-key", "bad-graph6",
+         "class-id-path", "class-id-nul", "surrogate-in-page", "surrogate-in-index"],
 )
 def test_report_malformed_census_is_a_parse_error(run, tmp_path, data):
     path = tmp_path / "census.json"

@@ -53,11 +53,10 @@ def test_instance_counts():
     assert len(mmi_instances(5)) == 65
     assert len(mmi_instances(5, include_full_union=False)) == 40
     assert len(mmi_instances(8)) == 7770
-    for n in range(3, 9):
+    assert mmi_instances(2) == []
+    for n in range(1, 9):
         for flag in (True, False):
             assert len(mmi_instances(n, flag)) == mmi_instance_count(n, flag)
-    with pytest.raises(ValueError):
-        mmi_instances(2)
 
 
 def test_instances_are_unique_and_disjoint():

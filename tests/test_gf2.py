@@ -9,7 +9,6 @@ import pytest
 from stabmmi import gf2
 from stabmmi.gf2 import (
     BitMatrix,
-    BitVector,
     Subspace,
     column_space,
     intersect,
@@ -30,16 +29,6 @@ def random_matrix(rng, rows, cols):
 
 def unpack(m):
     return [[m.get(i, j) for j in range(m.cols)] for i in range(m.nrows)]
-
-
-def test_bitvector_basics():
-    v = BitVector(4, 0b1010)
-    assert str(v) == "0101"
-    assert (v ^ v).bits == 0
-    w = BitVector(4, 0b0110)
-    assert v.dot(w) == 1
-    with pytest.raises(ValueError):
-        BitVector(3, 0b1000)
 
 
 def test_rank_zero_matrix():

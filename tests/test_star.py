@@ -262,12 +262,12 @@ def test_nontrivial_intersection_gives_four_star_witness():
 
 def test_find_star_partition():
     star5 = from_edges(5, [(1, v) for v in range(2, 6)])
-    p = find_star_partition(star5, require_nontrivial=True, maximize_cij=True)
+    p = find_star_partition(star5, maximize_cij=True)
     assert p is not None
     assert classify(star5, p).nontrivial_intersection
 
     p5 = from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)])
-    assert find_star_partition(p5, require_nontrivial=True) is None
+    assert find_star_partition(p5) is None
 
     k4 = from_edges(4, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
     assert find_star_partition(k4) is None  # no independent triple at all
@@ -278,7 +278,7 @@ def test_find_star_partition_results_are_valid():
     found = 0
     for _ in range(100):
         g = _random_graph(rng, rng.randint(4, 7))
-        p = find_star_partition(g, require_nontrivial=True)
+        p = find_star_partition(g)
         if p is None:
             continue
         found += 1
@@ -371,8 +371,8 @@ def test_block_spaces_and_classify_match_gf2_on_every_small_partition():
 
 
 def _gf2_find_nontrivial(g):
-    """The partition find_star_partition(g, require_nontrivial=True) should
-    return: the smallest (c, i, j) whose triple intersection is nontrivial."""
+    """The partition find_star_partition(g) should return: the smallest
+    (c, i, j) whose triple intersection is nontrivial."""
     for p in sorted(_star_partitions(g), key=lambda p: (p.c, p.i, p.j)):
         if _gf2_oracle(g, p)[1]:
             return p
@@ -385,7 +385,7 @@ def test_nontrivial_search_matches_gf2_search_on_a_sample():
     for n in (6, 6, 6, 7) * 12:
         g = _random_graph(rng, n)
         expect = _gf2_find_nontrivial(g)
-        assert find_star_partition(g, require_nontrivial=True) == expect
+        assert find_star_partition(g) == expect
         if expect is None:
             negatives += 1
         else:
