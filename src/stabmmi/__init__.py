@@ -9,9 +9,10 @@ Submodules:
     star     — generalized-star partitions and column-space classification
     census   — exhaustive graph/group censuses and conjecture scans
     cli      — the `stabmmi` command-line tool
-"""
 
-from . import census, entropy, gf2, graphs, star, tableau
+`import stabmmi` loads no submodule; the CLI imports each one inside the
+subcommands that run it, so `classify` and `report` never load numpy.
+"""
 
 __all__ = ["gf2", "tableau", "graphs", "entropy", "star", "census", "cli"]
 __version__ = "0.1.0"

@@ -14,10 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import census as censusmod
-from . import entropy as entmod
 from . import graphs as graphmod
-from . import star as starmod
 from . import tableau as tabmod
 
 EXIT_OK = 0
@@ -79,7 +76,7 @@ def load_source(path: str, fmt: str | None = None):
         if suffix == "json":
             data = _parse_json(text, path)
             if "edges" in data:
-                _check_qubits(int(data["n"]))  # before Graph's O(n²) validation
+                _check_qubits(graphmod.json_order(data))  # before Graph's O(n²) validation
                 return graphmod.from_json(text)
             if "tableau" in data:
                 return tabmod.parse_tableau("\n".join(data["tableau"]))
@@ -99,6 +96,7 @@ def _check_qubits(n: int) -> None:
 
 
 def cmd_entropy(args) -> int:
+    from . import entropy as entmod
     source = load_source(args.input, args.format)
     _check_qubits(source.n)
     ev = entmod.entropy_vector(source)
@@ -109,6 +107,7 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_mmi(args) -> int:
+    from . import entropy as entmod
     source = load_source(args.input, args.format)
     _check_qubits(source.n)
     ev = entmod.entropy_vector(source)
@@ -147,6 +146,7 @@ def _parse_gate_line(line: str, lineno: int) -> tuple[str, tuple[int, ...]]:
 
 
 def cmd_circuit(args) -> int:
+    from . import entropy as entmod
     gates = [
         (i + 1, *_parse_gate_line(ln.strip(), i + 1))
         for i, ln in enumerate(_read_text(args.script).splitlines())
@@ -187,6 +187,7 @@ def _render_ranks(ev) -> str:
 
 
 def cmd_classify(args) -> int:
+    from . import star as starmod
     g = load_source(args.input, args.format)
     _check_qubits(g.n)
     if not isinstance(g, graphmod.Graph):
@@ -223,6 +224,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_census(args) -> int:
+    from . import census as censusmod
     jobs = args.jobs
     if args.table14 is not None:
         row = censusmod.state_census(args.table14)
@@ -280,11 +282,11 @@ def cmd_census(args) -> int:
 
 def cmd_report(args) -> int:
     data = _parse_json(_read_text(args.census), args.census)
-    if not isinstance(data, dict) or not isinstance(data.get("classes", []), list):
+    if not isinstance(data, dict) or not isinstance(data.get("classes"), list):
         raise ParseError(f"{args.census}: expected an object with a 'classes' list")
     pages = []  # (class id, HTML page)
     try:
-        for rec in data.get("classes", []):
+        for rec in data["classes"]:
             cid, g6 = rec["class_id"], rec.get("representative_graph6")
             if not isinstance(cid, int):  # it names a file
                 raise TypeError(f"class_id {cid!r} is not an integer")

@@ -1,5 +1,5 @@
 """Entropy vectors, MMI instances, outcomes, tallies, and qubit-exchange
-canonicalization.
+canonicalization.  `MmiOutcome` is defined in `graphs` and re-exported here.
 
 Subsets of qubits are bitmasks with qubit t at bit t−1.  An entropy vector
 stores S_A for every nonempty mask A; entries are exact naturals (bits).
@@ -17,7 +17,6 @@ tally is one gather; the per-instance `evaluate_mmi` is its test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import cache
 from itertools import islice, permutations
 import json
@@ -26,6 +25,7 @@ import numpy as np
 
 from . import graphs as graphmod
 from . import tableau as tabmod
+from .graphs import MmiOutcome
 
 __all__ = [
     "EntropyVector",
@@ -44,19 +44,6 @@ __all__ = [
 
 # qubit relabelings per index table
 RELABEL_BLOCK = 720
-
-
-class MmiOutcome(Enum):
-    SATISFIES = "Satisfies"
-    SATURATES = "Saturates"
-    FAILS = "Fails"
-
-    @classmethod
-    def of_sign(cls, sign: int) -> "MmiOutcome":
-        """The outcome of an `mmi_signs` entry."""
-        if sign > 0:
-            return cls.SATISFIES
-        return cls.SATURATES if sign == 0 else cls.FAILS
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Simple graphs for graph states: adjacency bitmasks, local complementation,
 LC orbits, bipartition submatrices, adjacency-rank entropies, induced
-four-star detection, and graph6 / JSON edge-list I/O.
+four-star detection, and graph6 / JSON edge-list I/O.  The three MMI
+outcomes live here too, so that `star` can name them without numpy.
 
 Vertices are 1-based in the public edge API; `adj[v]` is the neighborhood
 bitmask of vertex v+1 with bit w = vertex w+1.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from enum import Enum
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -18,6 +20,7 @@ from .gf2 import BitMatrix, rank
 
 __all__ = [
     "CapExceeded",
+    "MmiOutcome",
     "Graph",
     "from_edges",
     "from_edge_mask",
@@ -32,11 +35,25 @@ __all__ = [
     "from_graph6",
     "to_json",
     "from_json",
+    "json_order",
 ]
 
 
 class CapExceeded(ValueError):
     """A requested size lies outside a documented cap."""
+
+
+class MmiOutcome(Enum):
+    SATISFIES = "Satisfies"
+    SATURATES = "Saturates"
+    FAILS = "Fails"
+
+    @classmethod
+    def of_sign(cls, sign: int) -> "MmiOutcome":
+        """The outcome of an `mmi_signs` entry."""
+        if sign > 0:
+            return cls.SATISFIES
+        return cls.SATURATES if sign == 0 else cls.FAILS
 
 
 @dataclass(frozen=True)
@@ -231,9 +248,17 @@ def to_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]})
 
 
+def json_order(data) -> int:
+    """The `"n"` of a JSON edge list: a JSON integer, not 3.5, "3" or true."""
+    n = data["n"]
+    if type(n) is not int:  # bool is an int subclass
+        raise ValueError(f"'n' must be an integer, got {n!r}")
+    return n
+
+
 def from_json(text: str) -> Graph:
     data = json.loads(text)
-    return from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
+    return from_edges(json_order(data), [tuple(e) for e in data["edges"]])
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:

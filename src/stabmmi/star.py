@@ -16,8 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .entropy import MmiOutcome
-from .graphs import Graph
+from .graphs import Graph, MmiOutcome
 
 __all__ = [
     "StarPartition",

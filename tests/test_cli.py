@@ -305,10 +305,20 @@ def test_untyped_errors_are_internal(run, tmp_path, monkeypatch, error):
     def fail(source):
         raise error
 
-    monkeypatch.setattr(cli.entmod, "entropy_vector", fail)
+    monkeypatch.setattr("stabmmi.entropy.entropy_vector", fail)
     code, _, err = run("entropy", write_star4(tmp_path))
     assert code == 4
     assert err.startswith("internal invariant violation:")
+
+
+@pytest.mark.parametrize("n", ["3.5", '"3"', "true"], ids=["float", "string", "bool"])
+def test_json_n_must_be_an_integer(run, tmp_path, n):
+    """A float, string or boolean "n" ran as int(n) qubits and exited 0."""
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"n": {n}, "edges": []}}')
+    code, out, err = run("entropy", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
 
 
 @pytest.mark.parametrize("command", ["entropy", "mmi", "classify"])
@@ -372,6 +382,49 @@ def test_module_entry_points(module):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: stabmmi")
     assert proc.stderr == ""
+
+
+_NO_NUMPY = ("numpy", "multiprocessing")
+_NO_CENSUS_OR_STAR = ("stabmmi.census", "stabmmi.star", "multiprocessing")
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["classify", "{graph}"], _NO_NUMPY),
+        (["classify", "{graph}", "--partition", '{{"C":[1],"I":[2],"J":[3],"K":[4]}}'], _NO_NUMPY),
+        (["report", "{census}", "-d", "{html}"], _NO_NUMPY),
+        (["--help"], _NO_NUMPY),
+        (["entropy", "{graph}"], _NO_CENSUS_OR_STAR),
+        (["mmi", "{graph}"], _NO_CENSUS_OR_STAR),
+        (["circuit", "{script}"], _NO_CENSUS_OR_STAR),
+    ],
+    ids=["classify", "classify-partition", "report", "help", "entropy", "mmi", "circuit"],
+)
+def test_subcommands_import_only_what_they_run(tmp_path, argv, absent):
+    """A fresh process that runs one subcommand has not loaded the modules
+    that the subcommand does not use."""
+    census_json = tmp_path / "census.json"
+    census_json.write_text(json.dumps({"n": 2, "classes": [_RECORD]}))
+    script = tmp_path / "ghz.txt"
+    script.write_text("H 1\nCNOT 1 2\n")
+    paths = {"graph": write_star4(tmp_path), "census": census_json, "html": tmp_path / "html",
+             "script": script}
+    probe = (
+        "import sys\nfrom stabmmi import cli\n"
+        "try:\n    sys.exit(cli.main(sys.argv[1:]))\n"
+        "finally:\n    print(*sorted(sys.modules))"
+    )
+    src = Path(census.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *(a.format(**paths) for a in argv)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "stabmmi.cli" in loaded
+    assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
 
 
 def test_report_pages_and_links(run, tmp_path):
@@ -465,9 +518,11 @@ _RECORD = {
         {"n": 2, "classes": [{**_RECORD, "class_id": "1\0"}]},
         {"n": 2, "classes": [{**_RECORD, "canonical_vector": "\udcff"}]},
         {"n": "\udcff", "classes": [_RECORD]},
+        {"n": 4, "edges": [[1, 2]]},
     ],
     ids=["top-level-list", "classes-not-list", "record-missing-key", "bad-graph6",
-         "class-id-path", "class-id-nul", "surrogate-in-page", "surrogate-in-index"],
+         "class-id-path", "class-id-nul", "surrogate-in-page", "surrogate-in-index",
+         "no-classes-key"],
 )
 def test_report_malformed_census_is_a_parse_error(run, tmp_path, data):
     path = tmp_path / "census.json"
