@@ -37,7 +37,7 @@ import numpy as np
 
 from . import graphs as graphmod
 from . import star as starmod
-from .entropy import EntropyVector, MmiTally, mmi_tally, relabeled, relabelings
+from .entropy import MmiTally, mmi_signs, relabeled, relabelings
 from .entropy import _entropy_rows, _index_bits
 from .gf2 import BitMatrix, rref
 from .graphs import CapExceeded, Graph
@@ -58,6 +58,9 @@ __all__ = [
 # rows per kernel call; also the unit of work handed to pool workers
 CHUNK = 1 << 12
 _CHUNK_BITS = CHUNK.bit_length() - 1
+# chunk results per merge call: one call over all 512 chunks at n = 7 would
+# copy and sort 558,085 rows at once
+MERGE_CHUNKS = 64
 
 
 @dataclass(frozen=True)
@@ -193,46 +196,46 @@ def enumerate_stabilizer_groups(n: int):
 # distinct-vector tallies
 
 
-def _tally_rows(
-    rows: np.ndarray, start: int, weights: np.ndarray | None = None
-) -> dict[bytes, tuple[int, int]]:
-    """Distinct rows in first-seen order -> (row count, or summed row
-    weights, start + first row index)."""
+def _distinct_rows(rows: np.ndarray, weights: np.ndarray | None, firsts: np.ndarray):
+    """The distinct rows of uint8 `rows`, which come in ascending order of
+    their first edge masks `firsts`: the distinct rows in first-seen order,
+    their summed weights (None: each row counts once) as int64, their first
+    edge masks, and the index of each row's distinct row."""
     view = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    keys, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    _keys, first, inverse = np.unique(view, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    counts = np.bincount(inverse, weights).astype(np.int64)[order]
-    return dict(zip(keys[order].tolist(), zip(counts.tolist(), (start + first[order]).tolist())))
+    inverse = np.argsort(order)[inverse]  # into the first-seen order
+    # float sums of integer weights are exact below 2^53
+    counts = np.bincount(inverse, weights).astype(np.int64)
+    first = first[order]
+    return rows[first], counts, firsts[first], inverse
 
 
-def _merge_tallies(parts) -> dict[bytes, tuple[int, int]]:
-    """Sum chunk tallies, given in enumeration order."""
-    merged: dict[bytes, tuple[int, int]] = {}
-    for part in parts:
-        for key, (cnt, first) in part.items():
-            prev = merged.get(key)
-            merged[key] = (cnt, first) if prev is None else (prev[0] + cnt, prev[1])
-    return merged
-
-
-def _chunk_tally(task) -> dict[bytes, tuple[int, int]]:
+def _chunk_tally(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n, source, start, stop = task
     adj = _graph_rows(n, start, stop)
     weights = _group_weights(adj) if source == "groups" else None
-    return _tally_rows(_graph_entropy_rows(adj), start, weights)
+    return _distinct_rows(_graph_entropy_rows(adj), weights, np.arange(start, stop))[:3]
 
 
-def _vector_counts(n: int, source: str, jobs: int = 1) -> dict[bytes, tuple[int, int]]:
+def _vector_counts(n: int, source: str, jobs: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct entropy vectors over all labeled graphs, or over all unsigned
     stabilizer groups as graphs weighted by the groups each stands for.
 
-    Returns vector-bytes -> (graph or group count, edge mask of its first
-    graph).  `jobs` worker processes share the graph census only."""
+    Returns the distinct value rows in first-seen order, the graph or group
+    count of each, and the edge mask of its first graph.  `jobs` worker
+    processes share the graph census only."""
     tasks = [(n, source, start, stop) for start, stop in _graph_chunks(n)]
     if source == "graphs" and jobs > 1 and len(tasks) > 1:
         with multiprocessing.Pool(jobs) as pool:
-            return _merge_tallies(pool.map(_chunk_tally, tasks))
-    return _merge_tallies(map(_chunk_tally, tasks))
+            parts = pool.map(_chunk_tally, tasks)
+    else:
+        parts = list(map(_chunk_tally, tasks))
+    merged: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for i in range(0, len(parts), MERGE_CHUNKS):
+        batch = merged + parts[i : i + MERGE_CHUNKS]
+        merged = [_distinct_rows(*(np.concatenate(part) for part in zip(*batch)))[:3]]
+    return merged[0]
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +264,33 @@ def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult
     `jobs` worker processes share the graph census; the group census runs
     in one process, where a pool would cost more to start than it saves."""
     _check_size(n, source)
-    raw = _vector_counts(n, source, jobs)
+    rows, counts, firsts = _vector_counts(n, source, jobs)
+    keys = list(map(tuple, rows.tolist()))
+    vectors = dict(zip(keys, counts.tolist()))
     reps = {
-        tuple(key): graphmod.from_edge_mask(n, first) if source == "graphs" else None
-        for key, (_cnt, first) in raw.items()
+        key: graphmod.from_edge_mask(n, first) if source == "graphs" else None
+        for key, first in zip(keys, firsts.tolist())
     }
-    vectors = {tuple(key): cnt for key, (cnt, _first) in raw.items()}
 
     tables = list(relabelings(n))
     known: dict[bytes, tuple[int, ...]] = {}
-    classes: dict[tuple[int, ...], ClassInfo] = {}
+    members: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for vals in vectors:
+        members.setdefault(_canonical_values(bytes(vals), tables, known), []).append(vals)
+    # satisfies, saturates and fails of every class in one gather
+    signs = mmi_signs(np.array(list(members), dtype=np.int8))
+    tallies = (signs[..., None] == np.array([1, 0, -1])).sum(axis=-2).tolist()
     multiplier = (1 << n) if source == "groups" else 1
-    for vals, cnt in vectors.items():
-        canon = _canonical_values(bytes(vals), tables, known)
-        info = classes.get(canon)
-        if info is None:
-            tally = mmi_tally(EntropyVector(n, canon))
-            classes[canon] = ClassInfo(canon, tally, cnt * multiplier, 1, reps[vals])
-        else:
-            info.state_count += cnt * multiplier
-            info.member_vectors += 1
+    classes = {
+        canon: ClassInfo(
+            canon,
+            MmiTally(*tally),
+            sum(vectors[v] for v in vals) * multiplier,
+            len(vals),
+            reps[vals[0]],
+        )
+        for (canon, vals), tally in zip(members.items(), tallies)
+    }
     return CensusResult(n, source, vectors, reps, classes)
 
 
@@ -326,16 +336,13 @@ def four_star_conjecture_scan(n: int, budget: int = 10**6, jobs: int = 1) -> dic
     """For every MMI-failing entropy vector, search a realizing graph's LC
     orbit for an induced four-star; counterexamples are expected empty."""
     _check_size(n, "graphs")
-    raw = _vector_counts(n, "graphs", jobs)
+    rows, _counts, firsts = _vector_counts(n, "graphs", jobs)
+    fails = (mmi_signs(rows) < 0).any(axis=-1)
+    failing = sorted(zip(rows[fails].tolist(), firsts[fails].tolist()))
     witnesses = []
     counterexamples = []
     budget_exceeded = []
-    idx = 0
-    for key, (_cnt, rep_mask) in sorted(raw.items()):
-        tally = mmi_tally(EntropyVector(n, tuple(key)))
-        if not tally.fails:
-            continue
-        idx += 1
+    for idx, (_vals, rep_mask) in enumerate(failing, start=1):
         g = graphmod.from_edge_mask(n, rep_mask)
         member, searched = _orbit_four_star_search(g, budget)
         record = {
@@ -352,7 +359,7 @@ def four_star_conjecture_scan(n: int, budget: int = 10**6, jobs: int = 1) -> dic
             counterexamples.append(record)
     return {
         "n": n,
-        "failing_vectors": idx,
+        "failing_vectors": len(failing),
         "witnesses": witnesses,
         "counterexamples": counterexamples,
         "budget_exceeded": budget_exceeded,
@@ -366,16 +373,12 @@ def nontrivial_intersection_scan(n: int) -> dict:
     _check_size(n, "graphs")
     counterexamples = []
     searched = 0
-    fails_cache: dict[bytes, bool] = {}
     for start, stop in _graph_chunks(n):
-        for offset, row in enumerate(_graph_entropy_rows(_graph_rows(n, start, stop))):
-            key = row.tobytes()
-            fails = fails_cache.get(key)
-            if fails is None:
-                fails = mmi_tally(EntropyVector(n, tuple(row.tolist()))).fails > 0
-                fails_cache[key] = fails
-            if fails:
-                continue  # implication holds whatever the partitions are
+        rows = _graph_entropy_rows(_graph_rows(n, start, stop))
+        distinct, _counts, _firsts, inverse = _distinct_rows(rows, None, np.arange(start, stop))
+        fails = (mmi_signs(distinct) < 0).any(axis=-1)[inverse]
+        # a failing graph satisfies the implication whatever its partitions
+        for offset in np.flatnonzero(~fails).tolist():
             searched += 1
             g = graphmod.from_edge_mask(n, start + offset)
             if starmod.find_star_partition(g) is not None:

@@ -114,7 +114,7 @@ def cmd_mmi(args) -> int:
     include = not args.skip_full_union
     print("instance-I,instance-J,instance-K,outcome")
     instances = entmod.mmi_instances(ev.n, include)
-    signs = entmod.mmi_signs(ev, include)
+    signs = entmod.mmi_signs(ev.values, include)
     for inst, sign in zip(instances, signs.tolist()):
         print(
             f"{_render_subset(inst.i)},{_render_subset(inst.j)},"
@@ -157,7 +157,7 @@ def cmd_circuit(args) -> int:
     t = tabmod.zero_state(n)
     instances = entmod.mmi_instances(n)
     ev = entmod.entropy_vector(t)
-    signs = entmod.mmi_signs(ev)
+    signs = entmod.mmi_signs(ev.values)
     out = ["initial ranks: " + _render_ranks(ev)]  # written once every gate has applied
     for lineno, name, operands in gates:
         try:
@@ -166,7 +166,7 @@ def cmd_circuit(args) -> int:
             raise ParseError(f"line {lineno}: {exc}") from exc
         ev = entmod.entropy_vector(t)
         out.append(f"after {name} {' '.join(map(str, operands))}: " + _render_ranks(ev))
-        now = entmod.mmi_signs(ev)
+        now = entmod.mmi_signs(ev.values)
         for idx in (now != signs).nonzero()[0].tolist():
             inst = instances[idx]
             out.append(
@@ -203,7 +203,7 @@ def cmd_classify(args) -> int:
         if not starmod.is_generalized_star(g, p):
             raise ParseError("explicit partition is not a generalized star")
     else:
-        p = starmod.find_star_partition(g, maximize_cij=True)
+        p = starmod.find_star_partition(g)
         if p is None:
             print(json.dumps({"result": "no qualifying partition"}))
             return EXIT_OK
@@ -224,6 +224,14 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_census(args) -> int:
+    # a flag that the chosen mode would ignore is an error, not a no-op
+    for flag, given, mode in (
+        ("--source", args.source is not None, "classes"),
+        ("--json", args.json, "classes"),
+        ("--budget", args.budget is not None, "scan_four_star"),
+    ):
+        if given and getattr(args, mode) is None:
+            raise UsageError(f"{flag} applies only to --{mode.replace('_', '-')}")
     from . import census as censusmod
     jobs = args.jobs
     if args.table14 is not None:
@@ -239,7 +247,7 @@ def cmd_census(args) -> int:
         return EXIT_OK
     if args.classes is not None:
         result = censusmod.vector_census(
-            args.classes, source=args.source, jobs=jobs
+            args.classes, source=args.source or "groups", jobs=jobs
         )
         records = [
             {
@@ -271,7 +279,7 @@ def cmd_census(args) -> int:
         return EXIT_OK
     if args.scan_four_star is not None:
         report = censusmod.four_star_conjecture_scan(
-            args.scan_four_star, budget=args.budget, jobs=jobs
+            args.scan_four_star, budget=args.budget or 10**6, jobs=jobs
         )
         _write(args.output, json.dumps(report, sort_keys=True, indent=1) + "\n")
         return EXIT_OK
@@ -370,7 +378,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("census", help="census tables and conjecture scans")
-    p.add_argument("--source", choices=["graphs", "groups"], default="groups")
+    p.add_argument(
+        "--source", choices=["graphs", "groups"], help="family that --classes counts (default groups)"
+    )
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--table14", type=int, metavar="N")
     mode.add_argument("--classes", type=int, metavar="N")
@@ -387,7 +397,6 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--budget",
         type=_int_range(1),
-        default=10**6,
         help="LC-orbit members --scan-four-star searches per failing vector, >= 1 (default 10^6)",
     )
     p.add_argument("--json", action="store_true", help="JSON output for --classes")

@@ -62,8 +62,9 @@ class EntropyVector:
         for mask in range(1, full):
             if self.values[mask - 1] != self.values[(full ^ mask) - 1]:
                 raise ValueError("pure state: S_A must equal S_complement")
-            if self.values[mask - 1] < 0:
-                raise ValueError("negative entropy")
+            # with the symmetry above, this bounds S_A by n/2; mmi_signs relies on it
+            if not 0 <= self.values[mask - 1] <= bin(mask).count("1"):
+                raise ValueError("entropy out of range: 0 ≤ S_A ≤ |A| qubits")
 
     def __getitem__(self, mask: int) -> int:
         if mask == 0:
@@ -73,15 +74,6 @@ class EntropyVector:
     def to_json(self, canonical: bool = False) -> str:
         ent = {str(mask): self.values[mask - 1] for mask in range(1, (1 << self.n))}
         return json.dumps({"n": self.n, "entropies": ent, "canonical": canonical}, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "EntropyVector":
-        data = json.loads(text)
-        n = int(data["n"])
-        vals = [0] * ((1 << n) - 1)
-        for key, val in data["entropies"].items():
-            vals[int(key) - 1] = int(val)
-        return EntropyVector(n, tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -230,16 +222,21 @@ def _mmi_table(n: int, include_full_union: bool) -> np.ndarray:
     return table
 
 
-def mmi_signs(ev: EntropyVector, include_full_union: bool = True) -> np.ndarray:
+def mmi_signs(values, include_full_union: bool = True) -> np.ndarray:
     """Sign of S_IJ + S_IK + S_JK − (S_I + S_J + S_K + S_IJK) for every MMI
-    instance, in `mmi_instances` order: 1 satisfies, 0 saturates, −1 fails."""
-    s = np.array((0, *ev.values), dtype=np.int64)[_mmi_table(ev.n, include_full_union)]
-    return np.sign(s[:, :3].sum(axis=1) - s[:, 3:].sum(axis=1))
+    instance, in `mmi_instances` order: 1 satisfies, 0 saturates, −1 fails.
+
+    `values` holds value rows of shape (..., 2^n − 1), n read from the last
+    axis (one vector: `ev.values`); the result has shape (..., instances).
+    The gather is int8: entropies are at most n/2, so sums of four fit."""
+    padded = np.insert(np.asarray(values, dtype=np.int8), 0, 0, axis=-1)
+    s = padded[..., _mmi_table(padded.shape[-1].bit_length() - 1, include_full_union)]
+    return np.sign(s[..., :3].sum(axis=-1, dtype=np.int8) - s[..., 3:].sum(axis=-1, dtype=np.int8))
 
 
 def mmi_tally(ev: EntropyVector, include_full_union: bool = True) -> MmiTally:
     fails, saturates, satisfies = np.bincount(
-        mmi_signs(ev, include_full_union) + 1, minlength=3
+        mmi_signs(ev.values, include_full_union) + 1, minlength=3
     ).tolist()
     return MmiTally(satisfies, saturates, fails)
 

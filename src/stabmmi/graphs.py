@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .gf2 import BitMatrix, rank
 
@@ -273,11 +273,3 @@ def from_edge_mask(n: int, mask: int) -> Graph:
         adj[w] |= 1 << v
         mask ^= low
     return Graph(n, tuple(adj))
-
-
-def enumerate_graphs(n: int) -> Iterator[Graph]:
-    """Every labeled simple graph on n vertices, ascending edge-mask order."""
-    if not 1 <= n <= 8:
-        raise CapExceeded("graph enumeration capped at n ≤ 8")
-    for mask in range(1 << (n * (n - 1) // 2)):
-        yield from_edge_mask(n, mask)

@@ -278,23 +278,18 @@ def _partitions(g: Graph):
                 yield StarPartition(full ^ m_mask, i_mask, j_mask, k_mask)
 
 
-def find_star_partition(g: Graph, maximize_cij: bool = False) -> StarPartition | None:
+def find_star_partition(g: Graph) -> StarPartition | None:
     """Among the generalized-star partitions whose block column spaces share
-    a nonzero vector (W_I ∩ W_J ∩ W_K ≠ {0}), the one with the smallest
-    (c, i, j) mask triple, after the largest |C∪I∪J| if `maximize_cij`; None
-    if there is none."""
+    a nonzero vector (W_I ∩ W_J ∩ W_K ≠ {0}), the one with the largest
+    |C∪I∪J|, then the smallest (c, i, j) mask triple; None if there is
+    none."""
     best: StarPartition | None = None
     best_key = None
     for p in _partitions(g):  # each a star by construction: no re-validation
         w = _spans(g, p)
         if len(w.w_i & w.w_j & w.w_k) == 1:
             continue
-        key = (
-            -bin(p.c | p.i | p.j).count("1") if maximize_cij else 0,
-            p.c,
-            p.i,
-            p.j,
-        )
+        key = (-bin(p.c | p.i | p.j).count("1"), p.c, p.i, p.j)
         if best_key is None or key < best_key:
             best, best_key = p, key
     return best

@@ -545,7 +545,30 @@ def test_census_flag_ranges(run, argv):
     code, out, err = run("census", "--table14", "3", *argv)
     assert (code, out) == (1, "")
     assert err.startswith("usage error:")
-    assert run("census", "--table14", "3", "--jobs", str(cli.MAX_JOBS), "--budget", "1")[0] == 0
+    assert run("census", "--table14", "3", "--jobs", str(cli.MAX_JOBS))[0] == 0
+    assert run("census", "--scan-four-star", "3", "--budget", "1")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "mode, flag",
+    [
+        (["--table14", "3"], ["--source", "graphs"]),
+        (["--table14", "3"], ["--json"]),
+        (["--table14", "3"], ["--budget", "5"]),
+        (["--scan-intersection", "4"], ["--source", "groups"]),
+        (["--scan-intersection", "4"], ["--json"]),
+        (["--scan-four-star", "3"], ["--source", "graphs"]),
+        (["--classes", "3"], ["--budget", "5"]),
+    ],
+)
+def test_census_rejects_flags_the_mode_ignores(run, mode, flag, tmp_path):
+    """--source and --json belong to --classes, --budget to --scan-four-star;
+    elsewhere each is a usage error before any work, output file included."""
+    out_file = tmp_path / "out.txt"
+    code, out, err = run("census", *mode, *flag, "-o", str(out_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error:") and flag[0] in err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "100000"])

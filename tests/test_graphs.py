@@ -6,7 +6,6 @@ import pytest
 from stabmmi.gf2 import rank, transpose
 from stabmmi.graphs import (
     Graph,
-    enumerate_graphs,
     entropy,
     from_edges,
     from_graph6,
@@ -202,14 +201,3 @@ def test_graph6_malformed():
 def test_json_round_trip():
     g = k4112()
     assert from_json(to_json(g)) == g
-
-
-def test_enumerate_graphs_counts():
-    assert sum(1 for _ in enumerate_graphs(3)) == 8
-    assert sum(1 for _ in enumerate_graphs(4)) == 64
-    seen = set()
-    for g in enumerate_graphs(4):
-        seen.add(g.adj)
-    assert len(seen) == 64
-    with pytest.raises(ValueError):
-        next(enumerate_graphs(9))

@@ -262,7 +262,7 @@ def test_nontrivial_intersection_gives_four_star_witness():
 
 def test_find_star_partition():
     star5 = from_edges(5, [(1, v) for v in range(2, 6)])
-    p = find_star_partition(star5, maximize_cij=True)
+    p = find_star_partition(star5)
     assert p is not None
     assert classify(star5, p).nontrivial_intersection
 
@@ -371,9 +371,12 @@ def test_block_spaces_and_classify_match_gf2_on_every_small_partition():
 
 
 def _gf2_find_nontrivial(g):
-    """The partition find_star_partition(g) should return: the smallest
-    (c, i, j) whose triple intersection is nontrivial."""
-    for p in sorted(_star_partitions(g), key=lambda p: (p.c, p.i, p.j)):
+    """The partition find_star_partition(g) should return: among those
+    whose triple intersection is nontrivial, the largest |C∪I∪J|, then the
+    smallest (c, i, j)."""
+    for p in sorted(
+        _star_partitions(g), key=lambda p: (-bin(p.c | p.i | p.j).count("1"), p.c, p.i, p.j)
+    ):
         if _gf2_oracle(g, p)[1]:
             return p
     return None
