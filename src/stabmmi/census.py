@@ -1,23 +1,23 @@
 """Exhaustive censuses of labeled graphs and unsigned stabilizer groups.
 
 Entropy vectors are aggregated into distinct-vector sets and qubit-exchange
-classes with MMI tallies.  Every census entropy vector comes from the
-support-counting kernel of `entropy`, fed CHUNK labeled graphs at a time:
-row m holds the adjacency masks of the graph with edge mask m, and a graph
-state's generators are X on vertex v times Z on its neighbours.
-Exchange classes are minimised over the relabeling tables of `entropy`,
-each relabeling orbit once.
+classes with MMI tallies.  Local complementation (LC) of a graph is a local
+Clifford, and local Cliffords change no subsystem entropy (Van den Nest,
+Dehaene, De Moor, PRA 69, 022316, 2004), so the support-counting kernel of
+`entropy` runs once per labeled LC orbit, on its least edge mask.  A graph
+state's generators are X on vertex v times Z on its neighbours.  Exchange
+classes are minimised over the relabeling tables of `entropy`, each
+relabeling orbit once.
 
-Both censuses walk the same graph rows: the group census weights each.  An
+Both censuses walk the same orbits: the group census weights each graph.  An
 unsigned stabilizer group is a maximal symplectically self-orthogonal
-subspace of Z_2^{2n}.  Every one is local-Clifford equivalent to a graph
-state (Van den Nest, Dehaene, De Moor, PRA 69, 022316, 2004), and local
-Cliffords change no subsystem entropy.  The weight counts an explicit
-bijection.  Put the X-parts of a group in RREF, with pivot qubits P and
-free qubits F = V ∖ P.  The group is then fixed by a symmetric P×P matrix M
-and by the free RREF entries A, which sit at (p, c) with c > p only.  H on
-every qubit of F, then S on each pivot whose diagonal bit of M is set, gives
-the graph state Γ with edges M among P, A between P and F, and none inside F.
+subspace of Z_2^{2n}, and every one is local-Clifford equivalent to a graph
+state (ibid.).  The weight counts an explicit bijection.  Put the X-parts
+of a group in RREF, with pivot qubits P and free qubits F = V ∖ P.  The
+group is then fixed by a symmetric P×P matrix M and by the free RREF
+entries A, which sit at (p, c) with c > p only.  H on every qubit of F, then
+S on each pivot whose diagonal bit of M is set, gives the graph state Γ
+with edges M among P, A between P and F, and none inside F.
 
 Let D(Γ) be the vertices with no larger neighbour (an independent set).  A
 vertex set is the free set F of a group mapped to Γ exactly when F ⊆ D(Γ),
@@ -28,7 +28,6 @@ these weights total ∏(2^k + 1).
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product
@@ -55,12 +54,9 @@ __all__ = [
     "nontrivial_intersection_scan",
 ]
 
-# rows per kernel call; also the unit of work handed to pool workers
+# edge masks per block of `_graph_rows`
 CHUNK = 1 << 12
 _CHUNK_BITS = CHUNK.bit_length() - 1
-# chunk results per merge call: one call over all 512 chunks at n = 7 would
-# copy and sort 558,085 rows at once
-MERGE_CHUNKS = 64
 
 
 @dataclass(frozen=True)
@@ -193,14 +189,42 @@ def enumerate_stabilizer_groups(n: int):
 
 
 # ---------------------------------------------------------------------------
-# distinct-vector tallies
+# labeled LC orbits and distinct-vector tallies
 
 
-def _distinct_rows(rows: np.ndarray, weights: np.ndarray | None, firsts: np.ndarray):
+def _lc_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every labeled graph's LC orbit.
+
+    Returns N(v) of every graph as n uint8 columns indexed by edge mask, the
+    label of each graph (the least edge mask in its orbit, int32), the roots
+    (the graphs that are their own label) in ascending order, and the kernel
+    entropy rows of the roots.  LC at v toggles every pair inside N(v), so
+    it maps edge mask g to g ^ pairs[N(v)].  Each graph takes the least label
+    of its LC images, v after v, then its label's label, until a sweep
+    changes no label."""
+    cols = np.zeros((n, 1), dtype=np.uint8)
+    subsets = np.arange(1 << n)
+    pairs = np.zeros(1 << n, dtype=np.int32)
+    for b, (i, j) in enumerate(combinations(range(n), 2)):
+        edge = np.zeros((n, 1), dtype=np.uint8)
+        edge[i], edge[j] = 1 << j, 1 << i
+        cols = np.concatenate([cols, cols | edge], axis=1)
+        pairs |= (subsets >> i & subsets >> j & 1) << b
+    label = masks = np.arange(cols.shape[1], dtype=np.int32)
+    while True:
+        before = label
+        for col in cols:
+            label = np.minimum(label, label[pairs[col] ^ masks])
+        label = label[label]
+        if np.array_equal(label, before):
+            roots = np.flatnonzero(label == masks)
+            return cols, label, roots, _graph_entropy_rows(cols[:, roots].T)
+
+
+def _distinct_rows(rows: np.ndarray, weights: np.ndarray, firsts: np.ndarray):
     """The distinct rows of uint8 `rows`, which come in ascending order of
     their first edge masks `firsts`: the distinct rows in first-seen order,
-    their summed weights (None: each row counts once) as int64, their first
-    edge masks, and the index of each row's distinct row."""
+    their summed weights as int64, and their first edge masks."""
     view = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
     _keys, first, inverse = np.unique(view, return_index=True, return_inverse=True)
     order = np.argsort(first)
@@ -208,34 +232,27 @@ def _distinct_rows(rows: np.ndarray, weights: np.ndarray | None, firsts: np.ndar
     # float sums of integer weights are exact below 2^53
     counts = np.bincount(inverse, weights).astype(np.int64)
     first = first[order]
-    return rows[first], counts, firsts[first], inverse
+    return rows[first], counts, firsts[first]
 
 
-def _chunk_tally(task) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n, source, start, stop = task
-    adj = _graph_rows(n, start, stop)
-    weights = _group_weights(adj) if source == "groups" else None
-    return _distinct_rows(_graph_entropy_rows(adj), weights, np.arange(start, stop))[:3]
-
-
-def _vector_counts(n: int, source: str, jobs: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _vector_counts(n: int, source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct entropy vectors over all labeled graphs, or over all unsigned
     stabilizer groups as graphs weighted by the groups each stands for.
 
     Returns the distinct value rows in first-seen order, the graph or group
-    count of each, and the edge mask of its first graph.  `jobs` worker
-    processes share the graph census only."""
-    tasks = [(n, source, start, stop) for start, stop in _graph_chunks(n)]
-    if source == "graphs" and jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_chunk_tally, tasks)
-    else:
-        parts = list(map(_chunk_tally, tasks))
-    merged: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for i in range(0, len(parts), MERGE_CHUNKS):
-        batch = merged + parts[i : i + MERGE_CHUNKS]
-        merged = [_distinct_rows(*(np.concatenate(part) for part in zip(*batch)))[:3]]
-    return merged[0]
+    count of each, and the edge mask of its first graph.  Every graph of an
+    orbit has its root's vector, so a vector's first graph is the least root
+    among the orbits that have it."""
+    cols, label, roots, rows = _lc_orbits(n)
+    weights = _group_weights(cols.T) if source == "groups" else None
+    return _distinct_rows(rows, np.bincount(label, weights)[roots], roots)
+
+
+def _graph_fails(n: int) -> np.ndarray:
+    """Whether each labeled graph's vector fails some MMI instance, indexed
+    by edge mask: each graph reads its root's flag."""
+    _cols, label, roots, rows = _lc_orbits(n)
+    return (mmi_signs(rows) < 0).any(axis=-1)[np.searchsorted(roots, label)]
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +278,9 @@ def _canonical_values(
 def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult:
     """Distinct entropy vectors and exchange classes over one source family.
 
-    `jobs` worker processes share the graph census; the group census runs
-    in one process, where a pool would cost more to start than it saves."""
+    `jobs` is accepted and ignored: every census runs in one process."""
     _check_size(n, source)
-    rows, counts, firsts = _vector_counts(n, source, jobs)
+    rows, counts, firsts = _vector_counts(n, source)
     keys = list(map(tuple, rows.tolist()))
     vectors = dict(zip(keys, counts.tolist()))
     reps = {
@@ -299,8 +315,8 @@ def state_census(n: int, jobs: int = 1) -> CensusRow:
 
     A class's tally is that of each member vector, since relabeling qubits
     permutes the MMI instances among themselves.  `jobs` is accepted and
-    ignored: the group census runs in one process."""
-    result = vector_census(n, source="groups", jobs=jobs)
+    ignored: every census runs in one process."""
+    result = vector_census(n, source="groups")
     saturate = satisfy = fail = failing_vectors = 0
     for info in result.classes.values():
         if info.tally.fails:
@@ -332,11 +348,11 @@ def _orbit_four_star_search(g: Graph, budget: int) -> tuple[Graph | None, int]:
     return member, len(seen)
 
 
-def four_star_conjecture_scan(n: int, budget: int = 10**6, jobs: int = 1) -> dict:
+def four_star_conjecture_scan(n: int, budget: int = 10**6) -> dict:
     """For every MMI-failing entropy vector, search a realizing graph's LC
     orbit for an induced four-star; counterexamples are expected empty."""
     _check_size(n, "graphs")
-    rows, _counts, firsts = _vector_counts(n, "graphs", jobs)
+    rows, _counts, firsts = _vector_counts(n, "graphs")
     fails = (mmi_signs(rows) < 0).any(axis=-1)
     failing = sorted(zip(rows[fails].tolist(), firsts[fails].tolist()))
     witnesses = []
@@ -372,19 +388,14 @@ def nontrivial_intersection_scan(n: int) -> dict:
     partition search; any hit there is a counterexample."""
     _check_size(n, "graphs")
     counterexamples = []
-    searched = 0
-    for start, stop in _graph_chunks(n):
-        rows = _graph_entropy_rows(_graph_rows(n, start, stop))
-        distinct, _counts, _firsts, inverse = _distinct_rows(rows, None, np.arange(start, stop))
-        fails = (mmi_signs(distinct) < 0).any(axis=-1)[inverse]
-        # a failing graph satisfies the implication whatever its partitions
-        for offset in np.flatnonzero(~fails).tolist():
-            searched += 1
-            g = graphmod.from_edge_mask(n, start + offset)
-            if starmod.find_star_partition(g) is not None:
-                counterexamples.append(graphmod.to_graph6(g))
+    # a failing graph satisfies the implication whatever its partitions
+    searched = np.flatnonzero(~_graph_fails(n)).tolist()
+    for mask in searched:
+        g = graphmod.from_edge_mask(n, mask)
+        if starmod.find_star_partition(g) is not None:
+            counterexamples.append(graphmod.to_graph6(g))
     return {
         "n": n,
-        "graphs_searched": searched,
+        "graphs_searched": len(searched),
         "counterexamples": counterexamples,
     }

@@ -1,13 +1,18 @@
 """Independent reference implementations used to validate the package.
 
 Everything here is written in the most literal textbook style possible and
-deliberately shares no code with stabmmi.
+deliberately shares no code with stabmmi, except `per_graph_vector_counts`:
+it checks the census's LC-orbit reduction, not the entropy kernel (which
+has its own rank-per-mask oracle), so it runs that kernel on every labeled
+graph.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 from math import comb
+
+import numpy as np
 
 
 def naive_rank(rows: list[list[int]]) -> int:
@@ -150,3 +155,29 @@ def brute_lagrangians(n: int) -> set[frozenset[int]]:
 
     extend([], 0)
     return out
+
+
+def per_graph_vector_counts(n: int, source: str):
+    """The census tally without LC orbits: the entropy kernel on every labeled
+    graph, a chunk of edge masks at a time, tallied in one dict keyed by the
+    bytes of each row.  Returns the distinct rows in order of their first
+    edge mask, their graph (or weighted group) counts and their first edge
+    masks, with the dtypes of `census._vector_counts`."""
+    from stabmmi import census as C
+
+    counts: dict[bytes, int] = {}
+    firsts: dict[bytes, int] = {}
+    rows: dict[bytes, np.ndarray] = {}
+    for start, stop in C._graph_chunks(n):
+        adj = C._graph_rows(n, start, stop)
+        weights = C._group_weights(adj) if source == "groups" else np.ones(len(adj), dtype=int)
+        for mask, row, weight in zip(range(start, stop), C._graph_entropy_rows(adj), weights.tolist()):
+            key = row.tobytes()
+            if key not in counts:
+                counts[key], firsts[key], rows[key] = 0, mask, row
+            counts[key] += weight
+    return (
+        np.array(list(rows.values()), dtype=np.uint8),
+        np.array(list(counts.values()), dtype=np.int64),
+        np.array(list(firsts.values()), dtype=np.int64),
+    )

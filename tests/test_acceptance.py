@@ -309,7 +309,7 @@ def test_acceptance_10_property_suites():
 def test_acceptance_11_conjecture_scans():
     verdict = "PASS"
     for n in (4, 5, 6):
-        report = C.four_star_conjecture_scan(n, jobs=JOBS)
+        report = C.four_star_conjecture_scan(n)
         assert report["failing_vectors"] > 0
         if report["counterexamples"] or report["budget_exceeded"]:
             warnings.warn(

@@ -8,12 +8,13 @@ import pytest
 from stabmmi import census as C
 from stabmmi import graphs as graphmod
 from stabmmi import tableau as tabmod
-from stabmmi.entropy import EntropyVector, _entropy_rows, entropy_vector, mmi_tally
+from stabmmi.entropy import EntropyVector, MmiOutcome, _entropy_rows, entropy_vector
+from stabmmi.entropy import evaluate_mmi, mmi_instances, mmi_tally
 from stabmmi.gf2 import BitMatrix, rref
 from stabmmi.graphs import CapExceeded, from_edges
 from stabmmi.star import find_star_partition
 
-from oracles import brute_canonical, brute_lagrangians, span_elements
+from oracles import brute_canonical, brute_lagrangians, per_graph_vector_counts, span_elements
 
 
 def rank_entropies(source) -> tuple[int, ...]:
@@ -260,17 +261,59 @@ def test_state_census_small():
     assert row4.total_states == 36720
 
 
-def test_census_parallel_chunking_deterministic():
-    seq = C.vector_census(6, source="graphs", jobs=1)
-    par = C.vector_census(6, source="graphs", jobs=2)
-    assert seq.vectors == par.vectors
-    # most representatives come from chunks past the first
-    assert list(seq.representatives.items()) == list(par.representatives.items())
-    for vals, g in seq.representatives.items():
-        assert rank_entropies(g) == vals
-    assert {k: (v.state_count, v.tally) for k, v in seq.classes.items()} == {
-        k: (v.state_count, v.tally) for k, v in par.classes.items()
-    }
+def edge_mask(g) -> int:
+    """Inverse of `graphs.from_edge_mask`."""
+    pairs = combinations(range(g.n), 2)
+    return sum(1 << b for b, (i, j) in enumerate(pairs) if g.adj[i] >> j & 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_orbit_labels_are_least_lc_orbit_masks(n):
+    """Each graph's label is the least edge mask in its LC orbit, as found by
+    breadth-first search: every labeled graph for n ≤ 5, seeded samples at
+    n = 6 and 7.  The roots are the distinct labels, ascending, and the
+    adjacency columns are the graph rows."""
+    cols, label, roots, rows = C._lc_orbits(n)
+    total = 1 << (n * (n - 1) // 2)
+    assert label.dtype == np.int32 and cols.dtype == np.uint8 and len(label) == total
+    assert roots.tolist() == sorted(set(label.tolist()))
+    masks = range(total) if n <= 5 else random.Random(70 + n).sample(range(total), 15)
+    least: dict[int, int] = {}  # one search per orbit
+    for m in masks:
+        if m not in least:
+            orbit = list(map(edge_mask, graphmod.lc_orbit(graphmod.from_edge_mask(n, m))))
+            least.update(dict.fromkeys(orbit, min(orbit)))
+        assert label[m] == least[m]
+        assert tuple(cols[:, m].tolist()) == graphmod.from_edge_mask(n, m).adj
+    step = max(1, len(roots) // 50)
+    for root, row in zip(roots[::step].tolist(), rows[::step]):
+        assert tuple(row.tolist()) == rank_entropies(graphmod.from_edge_mask(n, root))
+
+
+@pytest.mark.parametrize("source", ["graphs", "groups"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_vector_counts_match_per_graph_walk(n, source):
+    """The orbit census gives the per-graph walk's rows, counts and first
+    edge masks byte for byte, dtypes and order included."""
+    got = C._vector_counts(n, source)
+    want = per_graph_vector_counts(n, source)
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_scan_fail_flags_match_per_graph_kernel(n):
+    """The intersection scan's fail flag of every labeled graph equals the
+    one read off that graph's own kernel row, instance by instance."""
+    total = 1 << (n * (n - 1) // 2)
+    instances = mmi_instances(n)
+    want = []
+    for row in C._graph_entropy_rows(C._graph_rows(n, 0, total)).tolist():
+        ev = EntropyVector(n, tuple(row))
+        want.append(any(evaluate_mmi(ev, inst) is MmiOutcome.FAILS for inst in instances))
+    got = C._graph_fails(n)
+    assert got.dtype == bool and got.tolist() == want
 
 
 def test_four_star_scan_small():

@@ -386,6 +386,7 @@ def test_module_entry_points(module):
 
 _NO_NUMPY = ("numpy", "multiprocessing")
 _NO_CENSUS_OR_STAR = ("stabmmi.census", "stabmmi.star", "multiprocessing")
+_NO_POOL = ("multiprocessing",)  # every census runs in one process
 
 
 @pytest.mark.parametrize(
@@ -398,8 +399,13 @@ _NO_CENSUS_OR_STAR = ("stabmmi.census", "stabmmi.star", "multiprocessing")
         (["entropy", "{graph}"], _NO_CENSUS_OR_STAR),
         (["mmi", "{graph}"], _NO_CENSUS_OR_STAR),
         (["circuit", "{script}"], _NO_CENSUS_OR_STAR),
+        (["census", "--table14", "3"], _NO_POOL),
+        (["census", "--classes", "4", "--source", "graphs"], _NO_POOL),
+        (["census", "--scan-four-star", "4"], _NO_POOL),
+        (["census", "--scan-intersection", "4"], _NO_POOL),
     ],
-    ids=["classify", "classify-partition", "report", "help", "entropy", "mmi", "circuit"],
+    ids=["classify", "classify-partition", "report", "help", "entropy", "mmi", "circuit",
+         "census-table14", "census-classes", "census-four-star", "census-intersection"],
 )
 def test_subcommands_import_only_what_they_run(tmp_path, argv, absent):
     """A fresh process that runs one subcommand has not loaded the modules
@@ -536,16 +542,15 @@ def test_report_malformed_census_is_a_parse_error(run, tmp_path, data):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--jobs", "0"], ["--jobs", "100000"], ["--jobs", "x"], ["--budget", "0"],
-     ["--budget", "-1"]],
+    [["--budget", "0"], ["--budget", "-1"], ["--budget", "x"], ["--budget", "1.5"],
+     ["--budget", ""]],
 )
 def test_census_flag_ranges(run, argv):
-    """Out-of-range flags are rejected while the arguments are parsed, so no
-    pool is started (and --table14 would start none anyway)."""
-    code, out, err = run("census", "--table14", "3", *argv)
+    """An out-of-range or non-integer --budget is rejected while the
+    arguments are parsed, before any work."""
+    code, out, err = run("census", "--scan-four-star", "3", *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("usage error:")
-    assert run("census", "--table14", "3", "--jobs", str(cli.MAX_JOBS))[0] == 0
+    assert err.startswith("usage error:") and "--budget" in err
     assert run("census", "--scan-four-star", "3", "--budget", "1")[0] == 0
 
 
@@ -573,11 +578,14 @@ def test_census_rejects_flags_the_mode_ignores(run, mode, flag, tmp_path):
 
 @pytest.mark.parametrize("value", ["abc", "0", "100000"])
 def test_census_jobs_environment_is_checked(run, monkeypatch, value):
+    """Every census runs in one process: STABMMI_JOBS, whatever its value,
+    changes nothing, and --jobs is not an option."""
     monkeypatch.setenv("STABMMI_JOBS", value)
     code, out, err = run("census", "--table14", "3")
+    assert (code, err) == (0, "") and out.endswith("\n3,1080,1080,0,0,5,3,0\n")
+    code, out, err = run("census", "--table14", "3", "--jobs", "2")
     assert (code, out) == (1, "")
     assert err.startswith("usage error:") and "--jobs" in err
-    assert run("census", "--table14", "3", "--jobs", "1")[0] == 0
 
 
 def test_census_unwritable_output_is_a_usage_error(run, tmp_path):
