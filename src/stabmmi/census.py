@@ -7,7 +7,8 @@ Dehaene, De Moor, PRA 69, 022316, 2004), so the support-counting kernel of
 `entropy` runs once per labeled LC orbit, on its least edge mask.  A graph
 state's generators are X on vertex v times Z on its neighbours.  Exchange
 classes are minimised over the relabeling tables of `entropy`, each
-relabeling orbit once.
+relabeling orbit once.  The four-star scan reads each orbit's members off
+the same orbit labels.
 
 Both censuses walk the same orbits: the group census weights each graph.  An
 unsigned stabilizer group is a maximal symplectically self-orthogonal
@@ -29,7 +30,6 @@ these weights total ∏(2^k + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -37,7 +37,7 @@ import numpy as np
 from . import graphs as graphmod
 from . import star as starmod
 from .entropy import MmiTally, mmi_signs, relabeled, relabelings
-from .entropy import _entropy_rows, _index_bits
+from .entropy import _entropy_rows
 from .gf2 import BitMatrix, rref
 from .graphs import CapExceeded, Graph
 from .tableau import Tableau
@@ -53,11 +53,6 @@ __all__ = [
     "four_star_conjecture_scan",
     "nontrivial_intersection_scan",
 ]
-
-# edge masks per block of `_graph_rows`
-CHUNK = 1 << 12
-_CHUNK_BITS = CHUNK.bit_length() - 1
-
 
 @dataclass(frozen=True)
 class CensusRow:
@@ -105,7 +100,7 @@ def stabilizer_group_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# graph rows
+# graph rows and stabilizer groups
 
 
 def _check_size(n: int, source: str) -> None:
@@ -118,35 +113,6 @@ def _check_size(n: int, source: str) -> None:
             raise CapExceeded("group census capped at 1 ≤ n ≤ 6")
     else:
         raise ValueError(f"unknown source {source!r}")
-
-
-@lru_cache(maxsize=1)
-def _graph_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacency rows of the first CHUNK edge masks (all of them, if fewer),
-    and the row weights of the higher edge bits.  Edge bit b is the b-th
-    pair (i, j), i < j, in lexicographic order.  Only the last n is kept,
-    read-only, since every caller shares it."""
-    weights = np.zeros((n * (n - 1) // 2, n), dtype=np.int64)
-    for b, (i, j) in enumerate(combinations(range(n), 2)):
-        weights[b, i], weights[b, j] = 1 << j, 1 << i
-    low = np.zeros((1, n), dtype=np.int64)
-    for weight in weights[:_CHUNK_BITS]:
-        low = np.concatenate([low, low + weight])
-    low.flags.writeable = weights.flags.writeable = False
-    return low, weights[_CHUNK_BITS:]
-
-
-def _graph_rows(n: int, start: int, stop: int) -> np.ndarray:
-    """Adjacency rows of the edge masks start..stop−1, for one chunk: start a
-    multiple of CHUNK, stop − start ≤ CHUNK."""
-    low, high = _graph_table(n)
-    return low[: stop - start] + _index_bits(np.array([start >> _CHUNK_BITS]), len(high)) @ high
-
-
-def _graph_chunks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of each chunk of the edge masks."""
-    total = 1 << (n * (n - 1) // 2)
-    return [(s, min(s + CHUNK, total)) for s in range(0, total, CHUNK)]
 
 
 def _graph_entropy_rows(adj: np.ndarray) -> np.ndarray:
@@ -164,28 +130,28 @@ def _group_weights(adj: np.ndarray) -> np.ndarray:
 
 def enumerate_stabilizer_groups(n: int):
     """Each unsigned stabilizer group once, as a canonical-RREF Tableau: from
-    each graph Γ, each free set F ⊆ D(Γ) and each phase subset of V ∖ F, S
-    on the phase subset, then H on F."""
+    each graph Γ in edge-mask order, each free set F ⊆ D(Γ) and each phase
+    subset of V ∖ F, S on the phase subset, then H on F."""
     _check_size(n, "groups")
     full = (1 << n) - 1
-    for start, stop in _graph_chunks(n):
-        for adj in _graph_rows(n, start, stop).tolist():
-            d_set = sum(1 << v for v in range(n) if not adj[v] >> (v + 1))
-            for free, phases in product(range(full + 1), repeat=2):
-                if free & ~d_set or phases & free:
-                    continue
-                gens = []
-                for v, zv in enumerate(adj):
-                    xv = 1 << v
-                    zv ^= xv & phases
-                    swap = (xv ^ zv) & free
-                    gens.append(xv ^ swap | (zv ^ swap) << n)
-                reduced, _ = rref(BitMatrix(tuple(gens), 2 * n))
-                yield Tableau(
-                    n,
-                    BitMatrix(tuple(r & full for r in reduced.rows), n),
-                    BitMatrix(tuple(r >> n for r in reduced.rows), n),
-                )
+    for mask in range(1 << (n * (n - 1) // 2)):
+        adj = graphmod.from_edge_mask(n, mask).adj
+        d_set = sum(1 << v for v in range(n) if not adj[v] >> (v + 1))
+        for free, phases in product(range(full + 1), repeat=2):
+            if free & ~d_set or phases & free:
+                continue
+            gens = []
+            for v, zv in enumerate(adj):
+                xv = 1 << v
+                zv ^= xv & phases
+                swap = (xv ^ zv) & free
+                gens.append(xv ^ swap | (zv ^ swap) << n)
+            reduced, _ = rref(BitMatrix(tuple(gens), 2 * n))
+            yield Tableau(
+                n,
+                BitMatrix(tuple(r & full for r in reduced.rows), n),
+                BitMatrix(tuple(r >> n for r in reduced.rows), n),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -342,35 +308,41 @@ def state_census(n: int, jobs: int = 1) -> CensusRow:
 # conjecture scans
 
 
-def _orbit_four_star_search(g: Graph, budget: int) -> tuple[Graph | None, int]:
-    """BFS the LC orbit until a member has an induced four-star."""
-    member, seen, _within = graphmod.lc_search(g, budget, graphmod.induced_four_stars)
-    return member, len(seen)
+def _orbit_four_star_search(n: int, members: np.ndarray) -> tuple[Graph | None, int]:
+    """The first graph of an orbit's edge masks `members` that has an induced
+    four-star (None if none has), and the members tested up to it."""
+    for searched, mask in enumerate(members.tolist(), start=1):
+        g = graphmod.from_edge_mask(n, mask)
+        if graphmod.induced_four_stars(g):
+            return g, searched
+    return None, len(members)
 
 
-def four_star_conjecture_scan(n: int, budget: int = 10**6) -> dict:
-    """For every MMI-failing entropy vector, search a realizing graph's LC
-    orbit for an induced four-star; counterexamples are expected empty."""
+def four_star_conjecture_scan(n: int) -> dict:
+    """For every MMI-failing entropy vector, test the LC orbit of its first
+    graph, member by member in ascending edge-mask order, for an induced
+    four-star; counterexamples are expected empty."""
     _check_size(n, "graphs")
-    rows, _counts, firsts = _vector_counts(n, "graphs")
-    fails = (mmi_signs(rows) < 0).any(axis=-1)
-    failing = sorted(zip(rows[fails].tolist(), firsts[fails].tolist()))
+    _cols, label, roots, rows = _lc_orbits(n)
+    vals, _counts, firsts = _distinct_rows(rows, np.ones(len(roots)), roots)
+    fails = (mmi_signs(vals) < 0).any(axis=-1)
+    failing = sorted(zip(vals[fails].tolist(), firsts[fails].tolist()))
+    # each orbit's edge masks in ascending order, the orbits in root order
+    by_orbit = np.argsort(label, kind="stable")
+    orbits = np.split(by_orbit, np.searchsorted(label[by_orbit], roots[1:]))
     witnesses = []
     counterexamples = []
-    budget_exceeded = []
     for idx, (_vals, rep_mask) in enumerate(failing, start=1):
-        g = graphmod.from_edge_mask(n, rep_mask)
-        member, searched = _orbit_four_star_search(g, budget)
+        # a vector's first graph is a root
+        member, searched = _orbit_four_star_search(n, orbits[np.searchsorted(roots, rep_mask)])
         record = {
             "vector_id": idx,
-            "representative": graphmod.to_graph6(g),
+            "representative": graphmod.to_graph6(graphmod.from_edge_mask(n, rep_mask)),
             "orbit_searched": searched,
         }
         if member is not None:
             record["witness"] = graphmod.to_graph6(member)
             witnesses.append(record)
-        elif searched >= budget:
-            budget_exceeded.append(record)
         else:
             counterexamples.append(record)
     return {
@@ -378,7 +350,6 @@ def four_star_conjecture_scan(n: int, budget: int = 10**6) -> dict:
         "failing_vectors": len(failing),
         "witnesses": witnesses,
         "counterexamples": counterexamples,
-        "budget_exceeded": budget_exceeded,
     }
 
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .gf2 import BitMatrix, rank
 
@@ -25,7 +25,6 @@ __all__ = [
     "from_edges",
     "from_edge_mask",
     "local_complement",
-    "lc_search",
     "lc_orbit",
     "submatrix",
     "entropy",
@@ -94,6 +93,8 @@ class Graph:
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adj = [0] * n
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:  # bool is an int subclass
+            raise ValueError(f"vertex ids must be integers, got ({u!r},{v!r})")
         if not (1 <= u <= n and 1 <= v <= n):
             raise ValueError(f"vertex out of range in edge ({u},{v})")
         if u == v:
@@ -118,39 +119,23 @@ def local_complement(g: Graph, a: int) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def lc_search(
-    g: Graph, budget: int = 10**6, stop: Callable[[Graph], object] | None = None
-) -> tuple[Graph | None, set[Graph], bool]:
-    """Breadth-first search of the LC orbit, deduped by labeled adjacency.
-
-    Returns the first member in BFS order for which `stop` is true (None if
-    none is), the members found so far, and whether the search stayed within
-    `budget` members."""
+def lc_orbit(g: Graph, node_budget: int = 10**6) -> set[Graph]:
+    """BFS closure under local complementation, deduped by labeled adjacency."""
     seen = {g}
     queue = deque([g])
     while queue:
         cur = queue.popleft()
-        if stop is not None and stop(cur):
-            return cur, seen, True
         for a in range(1, g.n + 1):
             if cur.adj[a - 1] == 0:
                 continue
             nxt = local_complement(cur, a)
             if nxt not in seen:
-                if len(seen) >= budget:
-                    return None, seen, False
+                if len(seen) >= node_budget:
+                    raise RuntimeError(
+                        f"LC orbit exceeded node budget {node_budget} (partial size {len(seen)})"
+                    )
                 seen.add(nxt)
                 queue.append(nxt)
-    return None, seen, True
-
-
-def lc_orbit(g: Graph, node_budget: int = 10**6) -> set[Graph]:
-    """BFS closure under local complementation, deduped by labeled adjacency."""
-    _member, seen, within = lc_search(g, node_budget)
-    if not within:
-        raise RuntimeError(
-            f"LC orbit exceeded node budget {node_budget} (partial size {len(seen)})"
-        )
     return seen
 
 

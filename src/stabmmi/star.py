@@ -62,6 +62,8 @@ class StarPartition:
         def mask(vs) -> int:
             out = 0
             for v in vs:
+                if type(v) is not int:  # bool is an int subclass
+                    raise ValueError(f"vertex {v!r} is not an integer")
                 if not 1 <= v <= n:
                     raise ValueError(f"vertex {v} out of range")
                 out |= 1 << (v - 1)

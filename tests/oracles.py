@@ -157,25 +157,40 @@ def brute_lagrangians(n: int) -> set[frozenset[int]]:
     return out
 
 
+def edge_mask_adjacency(n: int, masks) -> np.ndarray:
+    """Adjacency rows, one int64 neighbourhood bitmask per vertex, of the
+    graphs with the given edge masks: bit b of a mask is the b-th vertex
+    pair (i, j), i < j, in lexicographic order."""
+    masks = np.asarray(masks, dtype=np.int64)
+    adj = np.zeros((len(masks), n), dtype=np.int64)
+    b = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            edge = masks >> b & 1
+            adj[:, i] |= edge << j
+            adj[:, j] |= edge << i
+            b += 1
+    return adj
+
+
 def per_graph_vector_counts(n: int, source: str):
     """The census tally without LC orbits: the entropy kernel on every labeled
-    graph, a chunk of edge masks at a time, tallied in one dict keyed by the
-    bytes of each row.  Returns the distinct rows in order of their first
-    edge mask, their graph (or weighted group) counts and their first edge
-    masks, with the dtypes of `census._vector_counts`."""
+    graph, tallied in one dict keyed by the bytes of each row.  Returns the
+    distinct rows in order of their first edge mask, their graph (or
+    weighted group) counts and their first edge masks, with the dtypes of
+    `census._vector_counts`."""
     from stabmmi import census as C
 
     counts: dict[bytes, int] = {}
     firsts: dict[bytes, int] = {}
     rows: dict[bytes, np.ndarray] = {}
-    for start, stop in C._graph_chunks(n):
-        adj = C._graph_rows(n, start, stop)
-        weights = C._group_weights(adj) if source == "groups" else np.ones(len(adj), dtype=int)
-        for mask, row, weight in zip(range(start, stop), C._graph_entropy_rows(adj), weights.tolist()):
-            key = row.tobytes()
-            if key not in counts:
-                counts[key], firsts[key], rows[key] = 0, mask, row
-            counts[key] += weight
+    adj = edge_mask_adjacency(n, np.arange(1 << (n * (n - 1) // 2)))
+    weights = C._group_weights(adj) if source == "groups" else np.ones(len(adj), dtype=int)
+    for mask, (row, weight) in enumerate(zip(C._graph_entropy_rows(adj), weights.tolist())):
+        key = row.tobytes()
+        if key not in counts:
+            counts[key], firsts[key], rows[key] = 0, mask, row
+        counts[key] += weight
     return (
         np.array(list(rows.values()), dtype=np.uint8),
         np.array(list(counts.values()), dtype=np.int64),

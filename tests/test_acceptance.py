@@ -311,11 +311,8 @@ def test_acceptance_11_conjecture_scans():
     for n in (4, 5, 6):
         report = C.four_star_conjecture_scan(n)
         assert report["failing_vectors"] > 0
-        if report["counterexamples"] or report["budget_exceeded"]:
-            warnings.warn(
-                f"four-star scan n={n}: counterexamples "
-                f"{report['counterexamples']}, over budget {report['budget_exceeded']}"
-            )
+        if report["counterexamples"]:
+            warnings.warn(f"four-star scan n={n}: counterexamples {report['counterexamples']}")
             verdict = "WARN"
     for n in (4, 5, 6):
         report = C.nontrivial_intersection_scan(n)

@@ -14,7 +14,8 @@ from stabmmi.gf2 import BitMatrix, rref
 from stabmmi.graphs import CapExceeded, from_edges
 from stabmmi.star import find_star_partition
 
-from oracles import brute_canonical, brute_lagrangians, per_graph_vector_counts, span_elements
+from oracles import brute_canonical, brute_lagrangians, edge_mask_adjacency
+from oracles import per_graph_vector_counts, span_elements
 
 
 def rank_entropies(source) -> tuple[int, ...]:
@@ -71,17 +72,17 @@ def test_support_counting_matches_rank_entropies():
 
 def test_numpy_graph_batch_matches_python():
     """Kernel rows of an edge-mask window equal the rank-per-mask oracle, and
-    row m of the graph rows is the adjacency of the graph with edge mask m."""
+    the oracle's adjacency row m is that of the graph with edge mask m."""
     for n in (6, 7):
-        start = C.CHUNK + 1234
-        vals = C._graph_entropy_rows(C._graph_rows(n, C.CHUNK, 2 * C.CHUNK))[1234 : 1234 + 64]
+        start = (1 << 12) + 1234
+        vals = C._graph_entropy_rows(edge_mask_adjacency(n, range(start, start + 64)))
         assert vals.shape == (64, (1 << n) - 1)
         for offset in range(64):
             g = graphmod.from_edge_mask(n, start + offset)
             assert tuple(vals[offset].tolist()) == rank_entropies(g)
     for n in range(1, 6):
         total = 1 << (n * (n - 1) // 2)
-        for m, row in enumerate(C._graph_rows(n, 0, total).tolist()):
+        for m, row in enumerate(edge_mask_adjacency(n, range(total)).tolist()):
             assert tuple(row) == graphmod.from_edge_mask(n, m).adj
 
 
@@ -114,8 +115,7 @@ def test_numpy_group_batch_matches_python():
     of the graph's kernel row; the graph's weight counts them, and together
     they are every group once."""
     for n in (1, 2, 3, 4):
-        total = 1 << (n * (n - 1) // 2)
-        adj = C._graph_rows(n, 0, total)
+        adj = edge_mask_adjacency(n, range(1 << (n * (n - 1) // 2)))
         seen = set()
         for m, (row, weight) in enumerate(zip(C._graph_entropy_rows(adj), C._group_weights(adj))):
             g = graphmod.from_edge_mask(n, m)
@@ -131,13 +131,9 @@ def test_numpy_group_batch_matches_python():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_group_rows_and_weights_total(n):
     """One row per labeled graph, whose 2^(n−d)·3^d weights total every group."""
-    rows = weights = 0
-    for start, stop in C._graph_chunks(n):
-        adj = C._graph_rows(n, start, stop)
-        rows += len(adj)
-        weights += int(C._group_weights(adj).sum())
-    assert rows == 1 << (n * (n - 1) // 2)
-    assert weights == C.stabilizer_group_count(n)
+    adj = C._lc_orbits(n)[0].T
+    assert len(adj) == 1 << (n * (n - 1) // 2)
+    assert int(C._group_weights(adj).sum()) == C.stabilizer_group_count(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -306,10 +302,10 @@ def test_vector_counts_match_per_graph_walk(n, source):
 def test_scan_fail_flags_match_per_graph_kernel(n):
     """The intersection scan's fail flag of every labeled graph equals the
     one read off that graph's own kernel row, instance by instance."""
-    total = 1 << (n * (n - 1) // 2)
+    adj = edge_mask_adjacency(n, range(1 << (n * (n - 1) // 2)))
     instances = mmi_instances(n)
     want = []
-    for row in C._graph_entropy_rows(C._graph_rows(n, 0, total)).tolist():
+    for row in C._graph_entropy_rows(adj).tolist():
         ev = EntropyVector(n, tuple(row))
         want.append(any(evaluate_mmi(ev, inst) is MmiOutcome.FAILS for inst in instances))
     got = C._graph_fails(n)
@@ -327,8 +323,28 @@ def test_four_star_scan_small():
     assert report5["counterexamples"] == []
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_four_star_witness_is_least_orbit_mask_with_a_four_star(n):
+    """Every witness lies in the breadth-first LC orbit of its vector's
+    representative, has an induced four-star, and is the least such edge
+    mask; `orbit_searched` is its rank among the orbit's masks.  Every
+    failing vector at n = 4, 5, a seeded sample at n = 6."""
+    report = C.four_star_conjecture_scan(n)
+    records = report["witnesses"]
+    assert len(records) == report["failing_vectors"] and not report["counterexamples"]
+    if n == 6:
+        records = random.Random(76).sample(records, 25)
+    for rec in records:
+        rep = graphmod.from_graph6(rec["representative"])
+        orbit = sorted(map(edge_mask, graphmod.lc_orbit(rep)))
+        hits = [m for m in orbit if graphmod.induced_four_stars(graphmod.from_edge_mask(n, m))]
+        witness = edge_mask(graphmod.from_graph6(rec["witness"]))
+        assert edge_mask(rep) == orbit[0] and witness == hits[0]
+        assert rec["orbit_searched"] == orbit.index(witness) + 1
+
+
 def test_four_star_scan_report_keys_do_not_depend_on_n():
-    keys = {"n", "failing_vectors", "witnesses", "counterexamples", "budget_exceeded"}
+    keys = {"n", "failing_vectors", "witnesses", "counterexamples"}
     for n in range(1, 6):
         report = C.four_star_conjecture_scan(n)
         assert set(report) == keys

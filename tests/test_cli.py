@@ -321,6 +321,41 @@ def test_json_n_must_be_an_integer(run, tmp_path, n):
     assert err.startswith("parse error:")
 
 
+@pytest.mark.parametrize(
+    "graph, partition",
+    [
+        ({"n": 4, "edges": [[True, 2], [1, 3], [1, 4]]}, None),
+        ({"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}, {"C": [True], "I": [2], "J": [3], "K": [4]}),
+    ],
+    ids=["edge", "partition"],
+)
+def test_json_vertex_ids_must_be_integers(run, tmp_path, graph, partition):
+    """A boolean vertex id ran as vertex 1 and exited 0."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(graph))
+    extra = [] if partition is None else ["--partition", json.dumps(partition)]
+    code, out, err = run("classify", str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("name", ["t.txt", "t.json"])
+def test_tableau_size_is_checked_before_it_is_parsed(run, tmp_path, monkeypatch, name):
+    """Parsing and checking a tableau costs O(n²) or more: a 9-row tableau
+    exits 3 before it is parsed."""
+    lines = [format(1 << (17 - q), "018b") for q in range(9)]  # X on each qubit
+    path = tmp_path / name
+    path.write_text(json.dumps({"tableau": lines}) if name.endswith("json") else "\n".join(lines))
+
+    def fail(text):
+        raise AssertionError("parsed before the size check")
+
+    monkeypatch.setattr(tabmod, "parse_tableau", fail)
+    code, out, err = run("entropy", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("cap exceeded:")
+
+
 @pytest.mark.parametrize("command", ["entropy", "mmi", "classify"])
 def test_declared_size_is_checked_before_the_graph_is_built(run, tmp_path, command):
     """Validating a 10^5-vertex graph would take minutes: the declared n
@@ -546,12 +581,12 @@ def test_report_malformed_census_is_a_parse_error(run, tmp_path, data):
      ["--budget", ""]],
 )
 def test_census_flag_ranges(run, argv):
-    """An out-of-range or non-integer --budget is rejected while the
-    arguments are parsed, before any work."""
-    code, out, err = run("census", "--scan-four-star", "3", *argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("usage error:") and "--budget" in err
-    assert run("census", "--scan-four-star", "3", "--budget", "1")[0] == 0
+    """--budget is not an option: the four-star scan tests whole orbits, so
+    any value of it, in range or not, is a usage error."""
+    for flag in (argv, ["--budget", "1"]):
+        code, out, err = run("census", "--scan-four-star", "3", *flag)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:") and "--budget" in err
 
 
 @pytest.mark.parametrize(
@@ -559,16 +594,15 @@ def test_census_flag_ranges(run, argv):
     [
         (["--table14", "3"], ["--source", "graphs"]),
         (["--table14", "3"], ["--json"]),
-        (["--table14", "3"], ["--budget", "5"]),
+        (["--scan-four-star", "3"], ["--json"]),
         (["--scan-intersection", "4"], ["--source", "groups"]),
         (["--scan-intersection", "4"], ["--json"]),
         (["--scan-four-star", "3"], ["--source", "graphs"]),
-        (["--classes", "3"], ["--budget", "5"]),
     ],
 )
 def test_census_rejects_flags_the_mode_ignores(run, mode, flag, tmp_path):
-    """--source and --json belong to --classes, --budget to --scan-four-star;
-    elsewhere each is a usage error before any work, output file included."""
+    """--source and --json belong to --classes; elsewhere each is a usage
+    error before any work, output file included."""
     out_file = tmp_path / "out.txt"
     code, out, err = run("census", *mode, *flag, "-o", str(out_file))
     assert (code, out) == (1, "")

@@ -12,7 +12,6 @@ from stabmmi.graphs import (
     from_json,
     induced_four_stars,
     lc_orbit,
-    lc_search,
     local_complement,
     minimal_edge_representative,
     submatrix,
@@ -105,20 +104,13 @@ def test_lc_orbit_budget():
     star6 = from_edges(6, [(1, v) for v in range(2, 7)])
     with pytest.raises(RuntimeError):
         lc_orbit(star6, node_budget=2)
-
-
-def test_lc_search_stop_and_budget():
+    # a budget of exactly the orbit's size is enough
     star5 = from_edges(5, [(1, v) for v in range(2, 6)])
     orbit = lc_orbit(star5)
-    # the star itself has an induced four-star: found before any expansion
-    assert lc_search(star5, stop=induced_four_stars) == (star5, {star5}, True)
-    member, seen, within = lc_search(star5, stop=lambda g: g.edge_count() == 10)
-    assert member == from_edges(5, list(combinations(range(1, 6), 2)))
-    assert within and member in seen and seen < orbit
-    assert lc_search(star5) == (None, orbit, True)
-    assert lc_search(star5, budget=len(orbit)) == (None, orbit, True)
-    member, seen, within = lc_search(star5, budget=2)
-    assert (member, len(seen), within) == (None, 2, False)
+    assert from_edges(5, list(combinations(range(1, 6), 2))) in orbit
+    assert lc_orbit(star5, node_budget=len(orbit)) == orbit
+    with pytest.raises(RuntimeError):
+        lc_orbit(star5, node_budget=len(orbit) - 1)
 
 
 def test_submatrix_star():
