@@ -313,7 +313,7 @@ def _orbit_four_star_search(n: int, members: np.ndarray) -> tuple[Graph | None, 
     four-star (None if none has), and the members tested up to it."""
     for searched, mask in enumerate(members.tolist(), start=1):
         g = graphmod.from_edge_mask(n, mask)
-        if graphmod.induced_four_stars(g):
+        if next(graphmod._induced_four_stars(g), None) is not None:
             return g, searched
     return None, len(members)
 

@@ -292,15 +292,17 @@ def cmd_report(args) -> int:
     data = _parse_json(_read_text(args.census), args.census)
     if not isinstance(data, dict) or not isinstance(data.get("classes"), list):
         raise ParseError(f"{args.census}: expected an object with a 'classes' list")
-    pages = []  # (class id, HTML page)
+    pages = {}  # class id -> HTML page
     try:
         for rec in data["classes"]:
             cid, g6 = rec["class_id"], rec.get("representative_graph6")
-            if not isinstance(cid, int):  # it names a file
+            if type(cid) is not int:  # it names a file; bool is an int subclass
                 raise TypeError(f"class_id {cid!r} is not an integer")
+            if cid in pages:  # a second page would overwrite the first
+                raise ValueError(f"class_id {cid} appears twice")
             graph = graphmod.from_graph6(g6) if g6 else None
             edges = ", ".join(f"({u},{v})" for u, v in graph.edges()) if g6 else ""
-            pages.append((cid, (
+            pages[cid] = (
                 f"<html><head><title>Class {cid}</title></head><body>"
                 f"<h1>Class {cid}</h1>"
                 f"<p>Canonical vector: {' '.join(map(str, rec['canonical_vector']))}</p>"
@@ -311,15 +313,15 @@ def cmd_report(args) -> int:
                 f"<p>State count: {rec['state_count']}</p>"
                 '<p><a href="index.html">index</a></p>'
                 "</body></html>"
-            )))
-        items = "".join(f'<li><a href="class-{cid}.html">Class {cid}</a></li>' for cid, _ in pages)
+            )
+        items = "".join(f'<li><a href="class-{cid}.html">Class {cid}</a></li>' for cid in pages)
         index = (
             "<html><head><title>Census n={n}</title></head><body>"
             "<h1>Entropy-vector classes, n={n}</h1><ul>{items}</ul></body></html>"
         ).format(n=data.get("n", "?"), items=items)
         # every file is encoded before any is written: a JSON escape such as
         # "\udcff" decodes to a lone surrogate, which UTF-8 cannot encode
-        files = [(f"class-{cid}.html", page.encode()) for cid, page in pages]
+        files = [(f"class-{cid}.html", page.encode()) for cid, page in pages.items()]
         files.append(("index.html", index.encode()))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"{args.census}: malformed census: {exc!r}") from exc

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .gf2 import BitMatrix, rank
 
@@ -164,17 +164,19 @@ def entropy(g: Graph, a_mask: int) -> int:
     return rank(submatrix(g, a_mask))
 
 
-def induced_four_stars(g: Graph) -> list[tuple[int, tuple[int, int, int]]]:
-    """All induced K_{1,3} subgraphs as (center, (leaf, leaf, leaf)), 1-based."""
-    out = []
+def _induced_four_stars(g: Graph) -> Iterator[tuple[int, tuple[int, int, int]]]:
     for quad in combinations(range(g.n), 4):
         for c in quad:
             leaves = [v for v in quad if v != c]
             if all((g.adj[c] >> v) & 1 for v in leaves) and not any(
                 (g.adj[u] >> v) & 1 for u, v in combinations(leaves, 2)
             ):
-                out.append((c + 1, tuple(v + 1 for v in leaves)))
-    return out
+                yield c + 1, tuple(v + 1 for v in leaves)
+
+
+def induced_four_stars(g: Graph) -> list[tuple[int, tuple[int, int, int]]]:
+    """All induced K_{1,3} subgraphs as (center, (leaf, leaf, leaf)), 1-based."""
+    return list(_induced_four_stars(g))
 
 
 def minimal_edge_representative(orbit: Iterable[Graph]) -> Graph:

@@ -8,13 +8,15 @@ column spaces W_I, W_J, W_K of the C×I, C×J, C×K adjacency blocks inside
 Z_2^{|C|}, each held as the frozenset of its members: vertex masks inside C
 (column u of the C×X block is adj[u] & C).  ∩ is `&`, W + W' is the span of
 W | W', dim W = log2 |W|, and the cost grows as 2^dim W ≤ 2^|C| ≤ 2^(n−3):
-at most 32 members under the CLI's n ≤ 8 cap.
+at most 32 members under the CLI's n ≤ 8 cap.  The search enumerates each
+unordered block triple {I, J, K} once; on a hit all six orders compete.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import permutations, product
 
 from .graphs import Graph, MmiOutcome
 
@@ -238,60 +240,53 @@ def four_star_witness(
     return None
 
 
+def _components(g: Graph, mask: int) -> list[int]:
+    """Vertex masks of the connected components of G[mask], the component
+    holding the lowest vertex first."""
+    comps, left = [], mask
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            grown, f = comp, frontier
+            while f:
+                low = f & -f
+                grown |= g.adj[low.bit_length() - 1] & mask
+                f ^= low
+            frontier = grown & ~comp
+            comp = grown
+        comps.append(comp)
+        left &= ~comp
+    return comps
+
+
 def _partitions(g: Graph):
-    """All generalized-star partitions: pick M = I∪J∪K, then assign the
-    connected components of G[M] to the three blocks surjectively."""
-    n = g.n
-    full = (1 << n) - 1
+    """Every generalized-star partition once up to the order of its blocks,
+    as masks (C, X, Y, Z): pick M = I∪J∪K, then split the connected
+    components of G[M] into three nonempty blocks, X holding the first
+    component and Y's lowest vertex below Z's."""
+    full = (1 << g.n) - 1
     for m_mask in range(1, full):  # C = complement stays nonempty
-        # connected components of the induced subgraph on m_mask
-        comps = []
-        left = m_mask
-        while left:
-            seed = left & -left
-            comp = seed
-            frontier = seed
-            while frontier:
-                grown = comp
-                f = frontier
-                while f:
-                    low = f & -f
-                    grown |= g.adj[low.bit_length() - 1] & m_mask
-                    f ^= low
-                frontier = grown & ~comp
-                comp = grown
-            comps.append(comp)
-            left &= ~comp
-        if len(comps) < 3:
+        first, *rest = _components(g, m_mask)
+        if len(rest) < 2:
             continue
-        for assign in range(3 ** len(comps)):
-            i_mask = j_mask = k_mask = 0
-            a = assign
-            for comp in comps:
-                part = a % 3
-                a //= 3
-                if part == 0:
-                    i_mask |= comp
-                elif part == 1:
-                    j_mask |= comp
-                else:
-                    k_mask |= comp
-            if i_mask and j_mask and k_mask:
-                yield StarPartition(full ^ m_mask, i_mask, j_mask, k_mask)
+        for assign in product(range(3), repeat=len(rest)):
+            blocks = [first, 0, 0]
+            for comp, part in zip(rest, assign):
+                blocks[part] |= comp
+            x, y, z = blocks
+            if y and z and y & -y < z & -z:
+                yield full ^ m_mask, x, y, z
 
 
 def find_star_partition(g: Graph) -> StarPartition | None:
     """Among the generalized-star partitions whose block column spaces share
     a nonzero vector (W_I ∩ W_J ∩ W_K ≠ {0}), the one with the largest
     |C∪I∪J|, then the smallest (c, i, j) mask triple; None if there is
-    none."""
-    best: StarPartition | None = None
-    best_key = None
-    for p in _partitions(g):  # each a star by construction: no re-validation
-        w = _spans(g, p)
-        if len(w.w_i & w.w_j & w.w_k) == 1:
-            continue
-        key = (-bin(p.c | p.i | p.j).count("1"), p.c, p.i, p.j)
-        if best_key is None or key < best_key:
-            best, best_key = p, key
-    return best
+    none.  The test is symmetric in I, J, K, so each unordered block triple
+    is spanned once, and on a hit all six orders of it compete."""
+    hits = []
+    for c, *blocks in _partitions(g):  # each a star by construction: no re-validation
+        w_x, w_y, w_z = (_span(g.adj[u] & c for u in _bits(b)) for b in blocks)
+        if len(w_x & w_y & w_z) > 1:
+            hits += (StarPartition(c, i, j, k) for i, j, k in permutations(blocks))
+    return min(hits, key=lambda p: (-bin(p.c | p.i | p.j).count("1"), p.c, p.i, p.j), default=None)

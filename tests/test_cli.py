@@ -560,10 +560,12 @@ _RECORD = {
         {"n": 2, "classes": [{**_RECORD, "canonical_vector": "\udcff"}]},
         {"n": "\udcff", "classes": [_RECORD]},
         {"n": 4, "edges": [[1, 2]]},
+        {"n": 2, "classes": [{**_RECORD, "class_id": True}]},
+        {"n": 2, "classes": [_RECORD, {**_RECORD, "canonical_vector": [1, 1, 1]}]},
     ],
     ids=["top-level-list", "classes-not-list", "record-missing-key", "bad-graph6",
          "class-id-path", "class-id-nul", "surrogate-in-page", "surrogate-in-index",
-         "no-classes-key"],
+         "no-classes-key", "class-id-bool", "class-id-duplicate"],
 )
 def test_report_malformed_census_is_a_parse_error(run, tmp_path, data):
     path = tmp_path / "census.json"

@@ -356,7 +356,10 @@ def test_block_spaces_and_classify_match_gf2_on_every_small_partition():
         for m in range(1 << (n * (n - 1) // 2)):
             g = graphmod.from_edge_mask(n, m)
             partitions = list(_star_partitions(g))
-            assert set(partitions) == set(_partitions(g))
+            # _partitions yields each star once up to the order of its blocks
+            unordered = [(c, frozenset(blocks)) for c, *blocks in _partitions(g)]
+            assert len(unordered) == len(set(unordered))
+            assert set(unordered) == {(p.c, frozenset((p.i, p.j, p.k))) for p in partitions}
             for p in partitions:
                 members, nontrivial, distributive = _gf2_oracle(g, p)
                 w = block_spaces(g, p)
@@ -383,10 +386,13 @@ def _gf2_find_nontrivial(g):
 
 
 def test_nontrivial_search_matches_gf2_search_on_a_sample():
+    """Every labeled graph with n ≤ 5, then seeded graphs with n = 6, 7."""
     rng = random.Random(58)
+    small = [
+        graphmod.from_edge_mask(n, m) for n in range(1, 6) for m in range(1 << (n * (n - 1) // 2))
+    ]
     positives = negatives = 0
-    for n in (6, 6, 6, 7) * 12:
-        g = _random_graph(rng, n)
+    for g in small + [_random_graph(rng, n) for n in (6, 6, 6, 7) * 12]:
         expect = _gf2_find_nontrivial(g)
         assert find_star_partition(g) == expect
         if expect is None:
