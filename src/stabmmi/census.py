@@ -39,7 +39,7 @@ from . import star as starmod
 from .entropy import MmiTally, mmi_signs, relabeled, relabelings
 from .entropy import _entropy_rows
 from .gf2 import BitMatrix, rref
-from .graphs import CapExceeded, Graph
+from .graphs import Graph, check_census_size
 from .tableau import Tableau
 
 __all__ = [
@@ -103,18 +103,6 @@ def stabilizer_group_count(n: int) -> int:
 # graph rows and stabilizer groups
 
 
-def _check_size(n: int, source: str) -> None:
-    """Raise CapExceeded for sizes outside the census caps."""
-    if source == "graphs":
-        if not 1 <= n <= 7:
-            raise CapExceeded("graph census capped at 1 ≤ n ≤ 7")
-    elif source == "groups":
-        if not 1 <= n <= 6:
-            raise CapExceeded("group census capped at 1 ≤ n ≤ 6")
-    else:
-        raise ValueError(f"unknown source {source!r}")
-
-
 def _graph_entropy_rows(adj: np.ndarray) -> np.ndarray:
     """Kernel entropy rows of a batch of graph states."""
     return _entropy_rows(np.broadcast_to(1 << np.arange(adj.shape[1]), adj.shape), adj)
@@ -132,7 +120,7 @@ def enumerate_stabilizer_groups(n: int):
     """Each unsigned stabilizer group once, as a canonical-RREF Tableau: from
     each graph Γ in edge-mask order, each free set F ⊆ D(Γ) and each phase
     subset of V ∖ F, S on the phase subset, then H on F."""
-    _check_size(n, "groups")
+    check_census_size(n, "groups")
     full = (1 << n) - 1
     for mask in range(1 << (n * (n - 1) // 2)):
         adj = graphmod.from_edge_mask(n, mask).adj
@@ -245,7 +233,7 @@ def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult
     """Distinct entropy vectors and exchange classes over one source family.
 
     `jobs` is accepted and ignored: every census runs in one process."""
-    _check_size(n, source)
+    check_census_size(n, source)
     rows, counts, firsts = _vector_counts(n, source)
     keys = list(map(tuple, rows.tolist()))
     vectors = dict(zip(keys, counts.tolist()))
@@ -322,7 +310,7 @@ def four_star_conjecture_scan(n: int) -> dict:
     """For every MMI-failing entropy vector, test the LC orbit of its first
     graph, member by member in ascending edge-mask order, for an induced
     four-star; counterexamples are expected empty."""
-    _check_size(n, "graphs")
+    check_census_size(n, "graphs")
     _cols, label, roots, rows = _lc_orbits(n)
     vals, _counts, firsts = _distinct_rows(rows, np.ones(len(roots)), roots)
     fails = (mmi_signs(vals) < 0).any(axis=-1)
@@ -357,7 +345,7 @@ def nontrivial_intersection_scan(n: int) -> dict:
     """Verify: a nontrivial-intersection partition implies the state fails
     some MMI instance.  Only graphs whose vector fails nothing need the
     partition search; any hit there is a counterexample."""
-    _check_size(n, "graphs")
+    check_census_size(n, "graphs")
     counterexamples = []
     # a failing graph satisfies the implication whatever its partitions
     searched = np.flatnonzero(~_graph_fails(n)).tolist()

@@ -39,12 +39,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _mask_to_vertices(mask: int) -> list[int]:
-    return [v + 1 for v in range(mask.bit_length()) if (mask >> v) & 1]
-
-
 def _render_subset(mask: int) -> str:
-    return "+".join(str(v) for v in _mask_to_vertices(mask))
+    return "+".join(str(v + 1) for v in range(mask.bit_length()) if (mask >> v) & 1)
+
+
+def _subset_names(n: int) -> list[str]:
+    """`_render_subset` of every mask below 2^n, indexed by mask."""
+    return [_render_subset(mask) for mask in range(1 << n)]
 
 
 def _read_text(path: str) -> str:
@@ -76,7 +77,10 @@ def load_source(path: str, fmt: str | None = None):
                 _check_qubits(graphmod.json_order(data))  # before Graph's O(n²) validation
                 return graphmod.from_json(text)
             if "tableau" in data:
-                return _parse_tableau("\n".join(data["tableau"]))
+                rows = data["tableau"]
+                if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
+                    raise ParseError(f"{path}: 'tableau' must be a list of row strings")
+                return _parse_tableau("\n".join(rows))
             raise ParseError(f"{path}: JSON needs an 'edges' or 'tableau' key")
         if suffix == "txt":
             return _parse_tableau(text)
@@ -103,31 +107,35 @@ def _check_qubits(n: int) -> None:
 
 def cmd_entropy(args) -> int:
     from . import entropy as entmod
+    from . import mmi as mmimod
     source = load_source(args.input, args.format)
     _check_qubits(source.n)
-    ev = entmod.entropy_vector(source)
+    ev = mmimod.entropy_vector(source)
     canon = entmod.canonicalize(ev)
     print(ev.to_json(canonical=False))
     print(canon.to_json(canonical=True))
     return EXIT_OK
 
 
+# text of each `mmi.instance_signs` entry
+_OUTCOME = {sign: graphmod.MmiOutcome.of_sign(sign).value for sign in (1, 0, -1)}
+
+
 def cmd_mmi(args) -> int:
-    from . import entropy as entmod
+    from . import mmi as mmimod
     source = load_source(args.input, args.format)
     _check_qubits(source.n)
-    ev = entmod.entropy_vector(source)
+    ev = mmimod.entropy_vector(source)
     include = not args.skip_full_union
-    print("instance-I,instance-J,instance-K,outcome")
-    instances = entmod.mmi_instances(ev.n, include)
-    signs = entmod.mmi_signs(ev.values, include)
-    for inst, sign in zip(instances, signs.tolist()):
-        print(
-            f"{_render_subset(inst.i)},{_render_subset(inst.j)},"
-            f"{_render_subset(inst.k)},{entmod.MmiOutcome.of_sign(sign).value}"
-        )
-    tally = entmod.mmi_tally(ev, include).as_triple()
-    print("tally," + ",".join(map(str, tally)))
+    names = _subset_names(ev.n)
+    signs = mmimod.instance_signs(ev, include)
+    lines = ["instance-I,instance-J,instance-K,outcome"]
+    lines += [
+        f"{names[i]},{names[j]},{names[k]},{_OUTCOME[sign]}"
+        for (_, _, _, i, j, k, _), sign in zip(mmimod.mmi_table(ev.n, include), signs)
+    ]
+    lines.append("tally," + ",".join(map(str, mmimod.MmiTally.of_signs(signs).as_triple())))
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -152,7 +160,7 @@ def _parse_gate_line(line: str, lineno: int) -> tuple[str, tuple[int, ...]]:
 
 
 def cmd_circuit(args) -> int:
-    from . import entropy as entmod
+    from . import mmi as mmimod
     gates = [
         (i + 1, *_parse_gate_line(ln.strip(), i + 1))
         for i, ln in enumerate(_read_text(args.script).splitlines())
@@ -161,35 +169,35 @@ def cmd_circuit(args) -> int:
     n = args.n if args.n is not None else max([1, *(q for _, _, ops in gates for q in ops)])
     _check_qubits(n)
     t = tabmod.zero_state(n)
-    instances = entmod.mmi_instances(n)
-    ev = entmod.entropy_vector(t)
-    signs = entmod.mmi_signs(ev.values)
-    out = ["initial ranks: " + _render_ranks(ev)]  # written once every gate has applied
+    table = mmimod.mmi_table(n, True)
+    names = _subset_names(n)
+    ev = mmimod.entropy_vector(t)
+    signs = mmimod.instance_signs(ev)
+    out = ["initial ranks: " + _render_ranks(ev, names)]  # written once every gate has applied
     for lineno, name, operands in gates:
         try:
             t = GATES[name][1](t, *operands)
         except (IndexError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        ev = entmod.entropy_vector(t)
-        out.append(f"after {name} {' '.join(map(str, operands))}: " + _render_ranks(ev))
-        now = entmod.mmi_signs(ev.values)
-        for idx in (now != signs).nonzero()[0].tolist():
-            inst = instances[idx]
-            out.append(
-                f"  MMI({_render_subset(inst.i)};{_render_subset(inst.j)};"
-                f"{_render_subset(inst.k)}): {entmod.MmiOutcome.of_sign(signs[idx]).value}"
-                f" -> {entmod.MmiOutcome.of_sign(now[idx]).value}"
-            )
+        prev, ev = ev, mmimod.entropy_vector(t)
+        out.append(f"after {name} {' '.join(map(str, operands))}: " + _render_ranks(ev, names))
+        if ev.values == prev.values:  # equal vectors have equal signs
+            continue
+        now = mmimod.instance_signs(ev)
+        for (_, _, _, i, j, k, _), before, after in zip(table, signs, now):
+            if before != after:
+                out.append(
+                    f"  MMI({names[i]};{names[j]};{names[k]}): "
+                    f"{_OUTCOME[before]} -> {_OUTCOME[after]}"
+                )
         signs = now
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK
 
 
-def _render_ranks(ev) -> str:
+def _render_ranks(ev, names: list[str]) -> str:
     """The tableau rank R_A of every subsystem A, as S_A + |A|."""
-    return " ".join(
-        f"{_render_subset(mask)}={ev[mask] + mask.bit_count()}" for mask in range(1, 1 << ev.n)
-    )
+    return " ".join(f"{names[mask]}={ev[mask] + mask.bit_count()}" for mask in range(1, 1 << ev.n))
 
 
 def cmd_classify(args) -> int:
@@ -200,6 +208,8 @@ def cmd_classify(args) -> int:
         raise ParseError("classify needs a graph input")
     if args.partition:
         data = _parse_json(args.partition, "bad partition")
+        if not isinstance(data, dict) or data.keys() - {"C", "I", "J", "K"}:
+            raise ParseError("bad partition: expected an object with keys C, I, J and K only")
         try:
             p = starmod.StarPartition.from_sets(
                 g.n, data["C"], data["I"], data["J"], data["K"]
@@ -237,6 +247,15 @@ def cmd_census(args) -> int:
     ):
         if given and getattr(args, mode) is None:
             raise UsageError(f"{flag} applies only to --{mode.replace('_', '-')}")
+    # the size caps, before the census module loads numpy
+    for n, source in (
+        (args.table14, "groups"),
+        (args.classes, args.source or "groups"),
+        (args.scan_four_star, "graphs"),
+        (args.scan_intersection, "graphs"),
+    ):
+        if n is not None:
+            graphmod.check_census_size(n, source)
     from . import census as censusmod
     if args.table14 is not None:
         row = censusmod.state_census(args.table14)

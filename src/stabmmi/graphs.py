@@ -1,7 +1,8 @@
 """Simple graphs for graph states: adjacency bitmasks, local complementation,
 LC orbits, bipartition submatrices, adjacency-rank entropies, induced
 four-star detection, and graph6 / JSON edge-list I/O.  The three MMI
-outcomes live here too, so that `star` can name them without numpy.
+outcomes and the census size caps live here too, so that `star`, `mmi` and
+the CLI can use them without numpy.
 
 Vertices are 1-based in the public edge API; `adj[v]` is the neighborhood
 bitmask of vertex v+1 with bit w = vertex w+1.
@@ -20,6 +21,7 @@ from .gf2 import BitMatrix, rank
 
 __all__ = [
     "CapExceeded",
+    "check_census_size",
     "MmiOutcome",
     "Graph",
     "from_edges",
@@ -40,6 +42,18 @@ __all__ = [
 
 class CapExceeded(ValueError):
     """A requested size lies outside a documented cap."""
+
+
+def check_census_size(n: int, source: str) -> None:
+    """Raise CapExceeded for sizes outside the census caps."""
+    if source == "graphs":
+        if not 1 <= n <= 7:
+            raise CapExceeded("graph census capped at 1 ≤ n ≤ 7")
+    elif source == "groups":
+        if not 1 <= n <= 6:
+            raise CapExceeded("group census capped at 1 ≤ n ≤ 6")
+    else:
+        raise ValueError(f"unknown source {source!r}")
 
 
 class MmiOutcome(Enum):

@@ -1,0 +1,202 @@
+"""One state's entropy vector and MMI outcomes, without numpy.
+
+Subsets of qubits are bitmasks with qubit t at bit t−1.  An entropy vector
+stores S_A for every nonempty mask A; entries are exact naturals (bits).
+
+`entropy_vector` runs the support-counting kernel of `entropy._entropy_rows`
+on Python ints for one state; the batch kernel serves the censuses.  MMI
+instances are rows of one cached mask table per n, which `entropy.mmi_signs`
+gathers for value batches and `instance_signs` reads for one vector.  The
+rank-per-mask `graphs.entropy` and `tableau.entropy`, and the per-instance
+`evaluate_mmi`, are the test oracles of both paths.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cache
+from operator import add
+import json
+
+from . import graphs as graphmod
+from . import tableau as tabmod
+from .graphs import MmiOutcome
+
+__all__ = [
+    "EntropyVector",
+    "MmiInstance",
+    "MmiOutcome",
+    "MmiTally",
+    "entropy_vector",
+    "mmi_table",
+    "mmi_instances",
+    "evaluate_mmi",
+    "instance_signs",
+    "mmi_tally",
+]
+
+
+@dataclass(frozen=True)
+class EntropyVector:
+    """S_A for all nonempty masks A; values[m-1] holds mask m."""
+
+    n: int
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        full = (1 << self.n) - 1
+        if len(self.values) != full:
+            raise ValueError("entropy vector needs one value per nonempty mask")
+        if self.values[full - 1] != 0:
+            raise ValueError("pure state: full-system entropy must be zero")
+        for mask in range(1, full):
+            if self.values[mask - 1] != self.values[(full ^ mask) - 1]:
+                raise ValueError("pure state: S_A must equal S_complement")
+            # with the symmetry above, this bounds S_A by n/2, as entropy.mmi_signs needs
+            if not 0 <= self.values[mask - 1] <= bin(mask).count("1"):
+                raise ValueError("entropy out of range: 0 ≤ S_A ≤ |A| qubits")
+
+    def __getitem__(self, mask: int) -> int:
+        if mask == 0:
+            return 0
+        return self.values[mask - 1]
+
+    def to_json(self, canonical: bool = False) -> str:
+        ent = {str(mask): self.values[mask - 1] for mask in range(1, (1 << self.n))}
+        return json.dumps({"n": self.n, "entropies": ent, "canonical": canonical}, sort_keys=True)
+
+
+@dataclass(frozen=True)
+class MmiInstance:
+    """Unordered triple of disjoint nonempty subsystem masks, stored i<j<k."""
+
+    i: int
+    j: int
+    k: int
+
+    def __post_init__(self) -> None:
+        i, j, k = self.i, self.j, self.k
+        if not (0 < i and 0 < j and 0 < k):
+            raise ValueError("subsystems must be nonempty")
+        if i & j or i & k or j & k:
+            raise ValueError("subsystems must be pairwise disjoint")
+        if not i < j < k:
+            lo, mid, hi = sorted((i, j, k))
+            object.__setattr__(self, "i", lo)
+            object.__setattr__(self, "j", mid)
+            object.__setattr__(self, "k", hi)
+
+
+@dataclass(frozen=True)
+class MmiTally:
+    satisfies: int
+    saturates: int
+    fails: int
+
+    @classmethod
+    def of_signs(cls, signs: list[int]) -> "MmiTally":
+        """The tally of a list of `instance_signs`."""
+        return cls(signs.count(1), signs.count(0), signs.count(-1))
+
+    def as_triple(self) -> tuple[int, int, int]:
+        return (self.satisfies, self.saturates, self.fails)
+
+
+def entropy_vector(source) -> EntropyVector:
+    """Full entropy vector of a Graph (x = identity, z = adjacency) or a
+    Tableau.
+
+    The same kernel as `entropy._entropy_rows`, for one state: the number of
+    group elements supported inside A is 2^(|A| − S_A) (Fattal et al.,
+    quant-ph/0406168), counted by a histogram of the 2^n element supports
+    and a subset-sum (zeta) transform."""
+    if isinstance(source, graphmod.Graph):
+        x, z = [1 << v for v in range(source.n)], source.adj
+    elif isinstance(source, tabmod.Tableau):
+        x, z = source.x.rows, source.z.rows
+    else:
+        raise TypeError(f"unsupported source {type(source).__name__}")
+    n = source.n
+    size = 1 << n
+    # element s is the product of the generators in bitmask s, its X-part in
+    # the low n bits and its Z-part above; its support is their union
+    elements = [0]
+    for xi, zi in zip(x, z):
+        gen = xi | zi << n
+        elements += [e ^ gen for e in elements]
+    counts = [0] * size
+    for e in elements:
+        counts[(e | e >> n) & (size - 1)] += 1
+    # subset sums: counts[m] becomes the number of elements supported in m
+    for k in range(n):
+        bit = 1 << k
+        for base in range(0, size, bit << 1):
+            top = base + bit
+            counts[top : top + bit] = map(add, counts[top : top + bit], counts[base:top])
+    values = tuple(m.bit_count() - c.bit_length() + 1 for m, c in enumerate(counts) if m)
+    return EntropyVector(n, values)
+
+
+def _submasks(mask: int):
+    """Nonempty submasks of mask, in descending order."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+@cache
+def mmi_table(n: int, include_full_union: bool) -> tuple[tuple[int, ...], ...]:
+    """Masks I|J, I|K, J|K, I, J, K, I|J|K of every unordered triple of
+    pairwise-disjoint nonempty subsystems I < J < K, one row per instance,
+    sorted by (I, J, K); none for n < 3.  Without the full union, the
+    triples that cover all n qubits are left out."""
+    full = (1 << n) - 1
+    triples = []
+    for i in range(1, full + 1):
+        comp_i = full ^ i
+        for j in _submasks(comp_i):
+            if j <= i:
+                break
+            for k in _submasks(comp_i ^ j):
+                if k <= j:
+                    break
+                if include_full_union or (i | j | k) != full:
+                    triples.append((i, j, k))
+    triples.sort()
+    return tuple((i | j, i | k, j | k, i, j, k, i | j | k) for i, j, k in triples)
+
+
+def mmi_instances(n: int, include_full_union: bool = True) -> list[MmiInstance]:
+    """The MMI instances of `mmi_table`, in its order."""
+    return [MmiInstance(i, j, k) for _, _, _, i, j, k, _ in mmi_table(n, include_full_union)]
+
+
+def evaluate_mmi(ev: EntropyVector, inst: MmiInstance) -> MmiOutcome:
+    """Compare S_IJ + S_IK + S_JK against S_I + S_J + S_K + S_IJK."""
+    i, j, k = inst.i, inst.j, inst.k
+    lhs = ev[i | j] + ev[i | k] + ev[j | k]
+    rhs = ev[i] + ev[j] + ev[k] + ev[i | j | k]
+    if lhs > rhs:
+        return MmiOutcome.SATISFIES
+    if lhs == rhs:
+        return MmiOutcome.SATURATES
+    return MmiOutcome.FAILS
+
+
+def instance_signs(ev: EntropyVector, include_full_union: bool = True) -> list[int]:
+    """Sign of S_IJ + S_IK + S_JK − (S_I + S_J + S_K + S_IJK) for every MMI
+    instance of one vector, in `mmi_table` order: 1 satisfies, 0 saturates,
+    −1 fails."""
+    s = (0, *ev.values)
+    return [
+        (d > 0) - (d < 0)
+        for d in (
+            s[ij] + s[ik] + s[jk] - s[i] - s[j] - s[k] - s[ijk]
+            for ij, ik, jk, i, j, k, ijk in mmi_table(ev.n, include_full_union)
+        )
+    ]
+
+
+def mmi_tally(ev: EntropyVector, include_full_union: bool = True) -> MmiTally:
+    return MmiTally.of_signs(instance_signs(ev, include_full_union))

@@ -68,6 +68,8 @@ class StarPartition:
                     raise ValueError(f"vertex {v!r} is not an integer")
                 if not 1 <= v <= n:
                     raise ValueError(f"vertex {v} out of range")
+                if out >> (v - 1) & 1:
+                    raise ValueError(f"vertex {v} repeated")
                 out |= 1 << (v - 1)
             return out
 

@@ -305,7 +305,7 @@ def test_untyped_errors_are_internal(run, tmp_path, monkeypatch, error):
     def fail(source):
         raise error
 
-    monkeypatch.setattr("stabmmi.entropy.entropy_vector", fail)
+    monkeypatch.setattr("stabmmi.mmi.entropy_vector", fail)
     code, _, err = run("entropy", write_star4(tmp_path))
     assert code == 4
     assert err.startswith("internal invariant violation:")
@@ -337,6 +337,33 @@ def test_json_vertex_ids_must_be_integers(run, tmp_path, graph, partition):
     code, out, err = run("classify", str(path), *extra)
     assert (code, out) == (2, "")
     assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize(
+    "tableau",
+    ["100010001", {"1001": 0, "0110": 0}],
+    ids=["string", "object"],
+)
+def test_json_tableau_must_be_a_list_of_strings(run, tmp_path, tableau):
+    """A string was split into one-character rows (9 qubits, exit 3), and an
+    object's keys were read as rows (exit 0)."""
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"tableau": tableau}))
+    code, out, err = run("entropy", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [{"C": [1], "I": [2], "J": [3], "K": [4, 4]}, {"C": [1], "I": [2], "J": [3], "K": [4], "X": [9]}],
+    ids=["repeated-vertex", "unknown-key"],
+)
+def test_classify_rejects_malformed_partition(run, tmp_path, partition):
+    """A vertex repeated inside one part, and an unknown key, exited 0."""
+    code, out, err = run("classify", write_star4(tmp_path), "--partition", json.dumps(partition))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: bad partition")
 
 
 @pytest.mark.parametrize("name", ["t.txt", "t.json"])
@@ -425,26 +452,31 @@ _NO_POOL = ("multiprocessing",)  # every census runs in one process
 
 
 @pytest.mark.parametrize(
-    "argv,absent",
+    "argv,absent,code",
     [
-        (["classify", "{graph}"], _NO_NUMPY),
-        (["classify", "{graph}", "--partition", '{{"C":[1],"I":[2],"J":[3],"K":[4]}}'], _NO_NUMPY),
-        (["report", "{census}", "-d", "{html}"], _NO_NUMPY),
-        (["--help"], _NO_NUMPY),
-        (["entropy", "{graph}"], _NO_CENSUS_OR_STAR),
-        (["mmi", "{graph}"], _NO_CENSUS_OR_STAR),
-        (["circuit", "{script}"], _NO_CENSUS_OR_STAR),
-        (["census", "--table14", "3"], _NO_POOL),
-        (["census", "--classes", "4", "--source", "graphs"], _NO_POOL),
-        (["census", "--scan-four-star", "4"], _NO_POOL),
-        (["census", "--scan-intersection", "4"], _NO_POOL),
+        (["classify", "{graph}"], _NO_NUMPY, 0),
+        (["classify", "{graph}", "--partition", '{{"C":[1],"I":[2],"J":[3],"K":[4]}}'], _NO_NUMPY,
+         0),
+        (["report", "{census}", "-d", "{html}"], _NO_NUMPY, 0),
+        (["--help"], _NO_NUMPY, 0),
+        (["entropy", "{graph}"], _NO_CENSUS_OR_STAR, 0),
+        (["mmi", "{graph}"], _NO_NUMPY + _NO_CENSUS_OR_STAR, 0),
+        (["circuit", "{script}"], _NO_NUMPY + _NO_CENSUS_OR_STAR, 0),
+        (["census", "--table14", "0"], _NO_NUMPY + _NO_CENSUS_OR_STAR, 3),
+        (["census", "--classes", "8", "--source", "graphs"], _NO_NUMPY + _NO_CENSUS_OR_STAR, 3),
+        (["census", "--table14", "3"], _NO_POOL, 0),
+        (["census", "--classes", "4", "--source", "graphs"], _NO_POOL, 0),
+        (["census", "--scan-four-star", "4"], _NO_POOL, 0),
+        (["census", "--scan-intersection", "4"], _NO_POOL, 0),
     ],
     ids=["classify", "classify-partition", "report", "help", "entropy", "mmi", "circuit",
-         "census-table14", "census-classes", "census-four-star", "census-intersection"],
+         "census-table14-cap", "census-classes-cap", "census-table14", "census-classes",
+         "census-four-star", "census-intersection"],
 )
-def test_subcommands_import_only_what_they_run(tmp_path, argv, absent):
+def test_subcommands_import_only_what_they_run(tmp_path, argv, absent, code):
     """A fresh process that runs one subcommand has not loaded the modules
-    that the subcommand does not use."""
+    that the subcommand does not use; a census size beyond its cap exits
+    before numpy loads."""
     census_json = tmp_path / "census.json"
     census_json.write_text(json.dumps({"n": 2, "classes": [_RECORD]}))
     script = tmp_path / "ghz.txt"
@@ -462,7 +494,7 @@ def test_subcommands_import_only_what_they_run(tmp_path, argv, absent):
         [sys.executable, "-c", probe, *(a.format(**paths) for a in argv)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     loaded = set(proc.stdout.splitlines()[-1].split())
     assert "stabmmi.cli" in loaded
     assert loaded.isdisjoint(absent), sorted(loaded & set(absent))
