@@ -5,15 +5,14 @@ Submodules:
     gf2      — bit-packed GF(2) matrices and subspace lattice operations
     tableau  — stabilizer tableaux, Clifford updates, rank entropies
     graphs   — graph states, local complementation, LC orbits, graph6 I/O
-    mmi      — one state's entropy vector, MMI instances, signs and tally
-    entropy  — numpy batch kernels: entropy rows, MMI signs, canonicalization
+    mmi      — one state's entropy vector, canonical form, MMI instances, signs, tally
+    entropy  — numpy batch kernels: entropy rows, MMI signs, relabeling tables
     star     — generalized-star partitions and column-space classification
     census   — exhaustive graph/group censuses and conjecture scans
     cli      — the `stabmmi` command-line tool
 
 `import stabmmi` loads no submodule; the CLI imports each one inside the
-subcommands that run it, so `classify`, `report`, `mmi` and `circuit` never
-load numpy.
+subcommands that run it, so only `census` loads numpy.
 """
 
 __all__ = ["gf2", "tableau", "graphs", "mmi", "entropy", "star", "census", "cli"]

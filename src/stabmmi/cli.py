@@ -106,12 +106,11 @@ def _check_qubits(n: int) -> None:
 
 
 def cmd_entropy(args) -> int:
-    from . import entropy as entmod
     from . import mmi as mmimod
     source = load_source(args.input, args.format)
     _check_qubits(source.n)
     ev = mmimod.entropy_vector(source)
-    canon = entmod.canonicalize(ev)
+    canon = mmimod.canonicalize(ev)
     print(ev.to_json(canonical=False))
     print(canon.to_json(canonical=True))
     return EXIT_OK

@@ -1,6 +1,6 @@
-"""The numpy batch kernels: entropy rows, MMI signs and qubit-exchange
-canonicalization.  The one-state names of `mmi` (`EntropyVector`,
-`MmiInstance`, `MmiTally`, `entropy_vector`, `mmi_instances`,
+"""The numpy batch kernels: entropy rows, MMI signs and qubit relabeling
+tables.  The one-state names of `mmi` (`EntropyVector`, `MmiInstance`,
+`MmiTally`, `entropy_vector`, `canonicalize`, `mmi_instances`,
 `evaluate_mmi`, `mmi_tally`) and `MmiOutcome` of `graphs` are re-exported
 here.
 
@@ -9,7 +9,8 @@ of thousands for the censuses; `mmi.entropy_vector` runs the same
 support-counting kernel on Python ints for one state.  The rank-per-mask
 `graphs.entropy` and `tableau.entropy` are the test oracle of both.  Qubit
 relabelings act on value rows through index tables of RELABEL_BLOCK
-relabelings each, which bounds the memory of a canonicalization.  MMI
+relabelings each, which bounds the memory of the census's
+canonicalization; one vector is canonicalized by `mmi.canonicalize`.  MMI
 instances act on value rows through the mask table of `mmi.mmi_table`, so
 a batch of tallies is one gather; the per-instance `evaluate_mmi` is its
 test oracle.
@@ -23,8 +24,8 @@ from itertools import islice, permutations
 import numpy as np
 
 from .graphs import MmiOutcome
-from .mmi import EntropyVector, MmiInstance, MmiTally, entropy_vector, evaluate_mmi
-from .mmi import mmi_instances, mmi_table, mmi_tally
+from .mmi import EntropyVector, MmiInstance, MmiTally, canonicalize, entropy_vector
+from .mmi import evaluate_mmi, mmi_instances, mmi_table, mmi_tally
 
 __all__ = [
     "EntropyVector",
@@ -133,8 +134,3 @@ def relabeled(row: bytes, tables):
     for table in tables:
         yield values[table].view(np.dtype((np.void, table.shape[1]))).ravel().tolist()
 
-
-def canonicalize(ev: EntropyVector) -> EntropyVector:
-    """Minimum over all qubit relabelings of the mask-ordered value tuple."""
-    best = min(min(rows) for rows in relabeled(bytes(ev.values), relabelings(ev.n)))
-    return EntropyVector(ev.n, tuple(best))

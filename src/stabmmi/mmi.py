@@ -9,6 +9,10 @@ instances are rows of one cached mask table per n, which `entropy.mmi_signs`
 gathers for value batches and `instance_signs` reads for one vector.  The
 rank-per-mask `graphs.entropy` and `tableau.entropy`, and the per-instance
 `evaluate_mmi`, are the test oracles of both paths.
+
+`canonicalize` gives the qubit-exchange canonical form of one vector by a
+level-wise search over relabelings; the census canonicalizes its thousands
+of vectors through the numpy relabeling tables of `entropy` instead.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "MmiOutcome",
     "MmiTally",
     "entropy_vector",
+    "canonicalize",
     "mmi_table",
     "mmi_instances",
     "evaluate_mmi",
@@ -137,12 +142,62 @@ def entropy_vector(source) -> EntropyVector:
     return EntropyVector(n, values)
 
 
-def _submasks(mask: int):
-    """Nonempty submasks of mask, in descending order."""
-    sub = mask
+def canonicalize(ev: EntropyVector) -> EntropyVector:
+    """Minimum over all qubit relabelings of the mask-ordered value tuple.
+
+    A relabeling p places one qubit at each position 0..n−1, and the
+    relabeled value at mask m is S of p(m).  Masks below 2^(k+1) read only
+    positions 0..k, so qubits are placed one position at a time: step k
+    fixes the values of masks 2^k … 2^(k+1)−1 (the block), and only the
+    partial maps whose block equals the least block of the step survive.
+
+    Survivors are then merged by a residual key: the values S of p(T) | U
+    for every set T of placed positions and every set U of remaining
+    qubits, with U enumerated in the remaining qubits' ascending order.
+    Two partial maps with equal keys have the same set of completions: the
+    order-preserving bijection between their remaining qubits carries each
+    completion of one to a completion of the other with the same value
+    tuple.  So a fully symmetric vector keeps one partial map per step.
+    Each map is held as its image list: entry m is p(m) for m < 2^k."""
+    n = ev.n
+    s = (0, *ev.values)
+    full = (1 << n) - 1
+    level = [[0]]
+    for _ in range(n):
+        best, survivors = None, []
+        for images in level:
+            free = full ^ images[-1]
+            while free:
+                bit = free & -free
+                free ^= bit
+                block = [s[bit | m] for m in images]
+                if best is None or block < best:
+                    best, survivors = block, [(images, bit)]
+                elif block == best:
+                    survivors.append((images, bit))
+        merged = {}
+        for images, bit in survivors:
+            placed = images + [bit | m for m in images]
+            # the images of the completion by the remaining qubits in ascending order
+            completed, rest = placed, full ^ placed[-1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                completed = completed + [low | m for m in completed]
+            merged.setdefault(tuple([s[m] for m in completed]), placed)
+        level = list(merged.values())
+    return EntropyVector(n, tuple([s[m] for m in level[0][1:]]))
+
+
+def _submasks_above(mask: int, low: int):
+    """Nonempty submasks of mask above low, which is disjoint from mask, in
+    ascending order.  Disjoint masks differ at their higher top bit, so a
+    submask is above low exactly when it has a bit above low's top bit."""
+    sub = mask >> low.bit_length() << low.bit_length()
+    sub &= -sub
     while sub:
         yield sub
-        sub = (sub - 1) & mask
+        sub = (sub - mask) & mask
 
 
 @cache
@@ -152,19 +207,15 @@ def mmi_table(n: int, include_full_union: bool) -> tuple[tuple[int, ...], ...]:
     sorted by (I, J, K); none for n < 3.  Without the full union, the
     triples that cover all n qubits are left out."""
     full = (1 << n) - 1
-    triples = []
+    rows = []
     for i in range(1, full + 1):
-        comp_i = full ^ i
-        for j in _submasks(comp_i):
-            if j <= i:
-                break
-            for k in _submasks(comp_i ^ j):
-                if k <= j:
-                    break
-                if include_full_union or (i | j | k) != full:
-                    triples.append((i, j, k))
-    triples.sort()
-    return tuple((i | j, i | k, j | k, i, j, k, i | j | k) for i, j, k in triples)
+        rest_i = full ^ i
+        for j in _submasks_above(rest_i, i):
+            rest_j = rest_i ^ j
+            for k in _submasks_above(rest_j, j):
+                if include_full_union or k != rest_j:
+                    rows.append((i | j, i | k, j | k, i, j, k, i | j | k))
+    return tuple(rows)
 
 
 def mmi_instances(n: int, include_full_union: bool = True) -> list[MmiInstance]:

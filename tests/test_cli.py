@@ -459,7 +459,8 @@ _NO_POOL = ("multiprocessing",)  # every census runs in one process
          0),
         (["report", "{census}", "-d", "{html}"], _NO_NUMPY, 0),
         (["--help"], _NO_NUMPY, 0),
-        (["entropy", "{graph}"], _NO_CENSUS_OR_STAR, 0),
+        (["entropy", "{graph}"], _NO_NUMPY + _NO_CENSUS_OR_STAR, 0),
+        (["entropy", "{tableau}"], _NO_NUMPY + _NO_CENSUS_OR_STAR, 0),
         (["mmi", "{graph}"], _NO_NUMPY + _NO_CENSUS_OR_STAR, 0),
         (["circuit", "{script}"], _NO_NUMPY + _NO_CENSUS_OR_STAR, 0),
         (["census", "--table14", "0"], _NO_NUMPY + _NO_CENSUS_OR_STAR, 3),
@@ -469,7 +470,8 @@ _NO_POOL = ("multiprocessing",)  # every census runs in one process
         (["census", "--scan-four-star", "4"], _NO_POOL, 0),
         (["census", "--scan-intersection", "4"], _NO_POOL, 0),
     ],
-    ids=["classify", "classify-partition", "report", "help", "entropy", "mmi", "circuit",
+    ids=["classify", "classify-partition", "report", "help", "entropy", "entropy-tableau", "mmi",
+         "circuit",
          "census-table14-cap", "census-classes-cap", "census-table14", "census-classes",
          "census-four-star", "census-intersection"],
 )
@@ -481,8 +483,10 @@ def test_subcommands_import_only_what_they_run(tmp_path, argv, absent, code):
     census_json.write_text(json.dumps({"n": 2, "classes": [_RECORD]}))
     script = tmp_path / "ghz.txt"
     script.write_text("H 1\nCNOT 1 2\n")
+    tableau = tmp_path / "bell.txt"
+    tableau.write_text("1100\n0011\n")
     paths = {"graph": write_star4(tmp_path), "census": census_json, "html": tmp_path / "html",
-             "script": script}
+             "script": script, "tableau": tableau}
     probe = (
         "import sys\nfrom stabmmi import cli\n"
         "try:\n    sys.exit(cli.main(sys.argv[1:]))\n"

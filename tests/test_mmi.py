@@ -1,12 +1,15 @@
 """The one-state path of `mmi` against the rank-per-mask oracles, the batch
-kernel of `entropy`, and the per-instance `evaluate_mmi`."""
+kernel of `entropy`, the per-instance `evaluate_mmi`, and the census's
+relabeling-table canonicalization."""
 
 import random
-from itertools import combinations
+from functools import cache
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from stabmmi import census
 from stabmmi import entropy as entmod
 from stabmmi import graphs as graphmod
 from stabmmi import mmi
@@ -76,14 +79,65 @@ def test_instance_signs_match_evaluate_mmi_and_mmi_signs(n, include_full_union):
 
 
 def test_mmi_table_rows_are_the_sorted_instance_masks():
-    table = mmi.mmi_table(5, True)
-    assert list(table) == sorted(table, key=lambda row: row[3:6])
-    for ij, ik, jk, i, j, k, ijk in table:
-        assert 0 < i < j < k and not (i & j or i & k or j & k)
-        assert (ij, ik, jk, ijk) == (i | j, i | k, j | k, i | j | k)
+    for n, include_full_union in product(range(1, 9), (True, False)):
+        full = (1 << n) - 1
+        triples = sorted(
+            (i, j, k)
+            for i, j, k in combinations(range(1, full + 1), 3)
+            if not (i & j or i & k or j & k) and (include_full_union or i | j | k != full)
+        )
+        assert mmi.mmi_table(n, include_full_union) == tuple(
+            (i | j, i | k, j | k, i, j, k, i | j | k) for i, j, k in triples
+        ), (n, include_full_union)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonicalize_matches_the_census_on_every_graph_vector(n):
+    rows, _, _ = census._vector_counts(n, "graphs")
+    tables = list(entmod.relabelings(n))
+    known = {}
+    for row in rows.tolist():
+        ev = mmi.EntropyVector(n, tuple(row))
+        assert mmi.canonicalize(ev).values == census._canonical_values(bytes(row), tables, known)
+
+
+def test_canonicalize_matches_the_census_on_seeded_7_qubit_vectors():
+    rows, _, _ = census._vector_counts(7, "graphs")
+    tables = list(entmod.relabelings(7))
+    for row in random.Random(77).sample(rows.tolist(), 200):
+        ev = mmi.EntropyVector(7, tuple(row))
+        assert mmi.canonicalize(ev).values == census._canonical_values(bytes(row), tables, {})
+
+
+# symmetric 8-qubit graphs, whose relabelings tie at many steps of the search;
+# the star, K4,4 and pair labels are scrambled, away from the least relabeling
+_PAIRS8 = list(combinations(range(1, 9), 2))
+_CUBE = [(a + 1, b + 1) for a, b in combinations(range(8), 2) if (a ^ b).bit_count() == 1]
+_SYMMETRIC8 = {
+    "empty": [],
+    "complete": _PAIRS8,
+    "star": [(5, v) for v in range(1, 9) if v != 5],
+    "cube": _CUBE,
+    "cube-complement": [e for e in _PAIRS8 if e not in _CUBE],
+    "K4,4": [(a, b) for a in (1, 4, 6, 7) for b in (2, 3, 5, 8)],
+    "four-bell-pairs": [(1, 6), (2, 8), (3, 5), (4, 7)],
+    "ghz4-ghz4": [(2, 1), (2, 5), (2, 7), (8, 3), (8, 4), (8, 6)],
+}
+
+
+@cache
+def _relabelings8():
+    return list(entmod.relabelings(8))
+
+
+@pytest.mark.parametrize("name", list(_SYMMETRIC8))
+def test_canonicalize_matches_every_relabeling_on_symmetric_8_qubit_vectors(name):
+    ev = mmi.entropy_vector(graphmod.from_edges(8, _SYMMETRIC8[name]))
+    least = min(min(rows) for rows in entmod.relabeled(bytes(ev.values), _relabelings8()))
+    assert mmi.canonicalize(ev).values == tuple(least)
 
 
 def test_entropy_reexports_the_one_state_names():
-    for name in ("EntropyVector", "MmiInstance", "MmiTally", "entropy_vector",
+    for name in ("EntropyVector", "MmiInstance", "MmiTally", "entropy_vector", "canonicalize",
                  "mmi_instances", "evaluate_mmi", "mmi_tally"):
         assert getattr(entmod, name) is getattr(mmi, name)
