@@ -6,7 +6,7 @@ Submodules:
     tableau  — stabilizer tableaux, Clifford updates, rank entropies
     graphs   — graph states, local complementation, LC orbits, graph6 I/O
     mmi      — one state's entropy vector, canonical form, MMI instances, signs, tally
-    entropy  — numpy batch kernels: entropy rows, MMI signs, relabeling tables
+    entropy  — numpy batch kernels: entropy rows, MMI signs
     star     — generalized-star partitions and column-space classification
     census   — exhaustive graph/group censuses and conjecture scans
     cli      — the `stabmmi` command-line tool

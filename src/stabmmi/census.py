@@ -5,10 +5,13 @@ classes with MMI tallies.  Local complementation (LC) of a graph is a local
 Clifford, and local Cliffords change no subsystem entropy (Van den Nest,
 Dehaene, De Moor, PRA 69, 022316, 2004), so the support-counting kernel of
 `entropy` runs once per labeled LC orbit, on its least edge mask.  A graph
-state's generators are X on vertex v times Z on its neighbours.  Exchange
-classes are minimised over the relabeling tables of `entropy`, each
-relabeling orbit once.  The four-star scan reads each orbit's members off
-the same orbit labels.
+state's generators are X on vertex v times Z on its neighbours.  The
+distinct vectors are labeled by the same walk with the n − 1 adjacent qubit
+transpositions as moves.  These generate every relabeling, and the
+distinct vectors are closed under relabeling, so each component is one
+whole exchange class, and its least vector is the class's canonical form
+(the one `mmi.canonicalize` gives).  The four-star scan reads each orbit's
+members off the LC-orbit labels.
 
 Both censuses walk the same orbits: the group census weights each graph.  An
 unsigned stabilizer group is a maximal symplectically self-orthogonal
@@ -30,14 +33,13 @@ these weights total ∏(2^k + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 import numpy as np
 
 from . import graphs as graphmod
 from . import star as starmod
-from .entropy import MmiTally, mmi_signs, relabeled, relabelings
-from .entropy import _entropy_rows
+from .entropy import MmiTally, _entropy_rows, mmi_signs
 from .gf2 import BitMatrix, rref
 from .graphs import Graph, check_census_size
 from .tableau import Tableau
@@ -146,6 +148,21 @@ def enumerate_stabilizer_groups(n: int):
 # labeled LC orbits and distinct-vector tallies
 
 
+def _orbit_labels(size: int, moves) -> np.ndarray:
+    """The least index in the orbit of each of range(size) under a set of
+    involutions, as int32.  `moves()` yields each involution's image array
+    once per sweep.  Each index takes the least label of its images, move
+    after move, then its label's label, until a sweep changes no label."""
+    label = np.arange(size, dtype=np.int32)
+    while True:
+        before = label
+        for image in moves():
+            label = np.minimum(label, label[image])
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
+
+
 def _lc_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every labeled graph's LC orbit.
 
@@ -153,9 +170,8 @@ def _lc_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     label of each graph (the least edge mask in its orbit, int32), the roots
     (the graphs that are their own label) in ascending order, and the kernel
     entropy rows of the roots.  LC at v toggles every pair inside N(v), so
-    it maps edge mask g to g ^ pairs[N(v)].  Each graph takes the least label
-    of its LC images, v after v, then its label's label, until a sweep
-    changes no label."""
+    it maps edge mask g to g ^ pairs[N(v)]; each sweep recomputes these
+    images."""
     cols = np.zeros((n, 1), dtype=np.uint8)
     subsets = np.arange(1 << n)
     pairs = np.zeros(1 << n, dtype=np.int32)
@@ -164,23 +180,23 @@ def _lc_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         edge[i], edge[j] = 1 << j, 1 << i
         cols = np.concatenate([cols, cols | edge], axis=1)
         pairs |= (subsets >> i & subsets >> j & 1) << b
-    label = masks = np.arange(cols.shape[1], dtype=np.int32)
-    while True:
-        before = label
-        for col in cols:
-            label = np.minimum(label, label[pairs[col] ^ masks])
-        label = label[label]
-        if np.array_equal(label, before):
-            roots = np.flatnonzero(label == masks)
-            return cols, label, roots, _graph_entropy_rows(cols[:, roots].T)
+    masks = np.arange(cols.shape[1], dtype=np.int32)
+    label = _orbit_labels(len(masks), lambda: (pairs[col] ^ masks for col in cols))
+    roots = np.flatnonzero(label == masks)
+    return cols, label, roots, _graph_entropy_rows(cols[:, roots].T)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per uint8 row, which sorts and compares as its bytes."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
 
 
 def _distinct_rows(rows: np.ndarray, weights: np.ndarray, firsts: np.ndarray):
     """The distinct rows of uint8 `rows`, which come in ascending order of
     their first edge masks `firsts`: the distinct rows in first-seen order,
     their summed weights as int64, and their first edge masks."""
-    view = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    _keys, first, inverse = np.unique(view, return_index=True, return_inverse=True)
+    _keys, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
     order = np.argsort(first)
     inverse = np.argsort(order)[inverse]  # into the first-seen order
     # float sums of integer weights are exact below 2^53
@@ -210,23 +226,26 @@ def _graph_fails(n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# canonicalization and census aggregation
+# exchange classes and census aggregation
 
 
-def _canonical_values(
-    key: bytes, tables: list[np.ndarray], known: dict[bytes, tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Lexicographic minimum of a value row over all qubit relabelings.
+def _exchange_labels(n: int, rows: np.ndarray) -> np.ndarray:
+    """The index of the first row of each value row's relabeling orbit, for
+    distinct value rows `rows` that are closed under qubit relabeling.
 
-    The relabeled rows are the row's whole orbit, and they all share its
-    minimum, so each orbit is recorded in `known` and computed only once.
-    """
-    canon = known.get(key)
-    if canon is None:
-        orbit = set(chain.from_iterable(relabeled(key, tables)))
-        canon = tuple(min(orbit))
-        known.update(dict.fromkeys(orbit, canon))
-    return canon
+    The moves are the n − 1 adjacent transpositions, which generate every
+    relabeling: swapping qubits k and k + 1 maps mask m to the entry
+    m ^ (bit k ≠ bit k + 1)·0b11 << k, and each swapped row is found among
+    the rows by a binary search of their sorted keys."""
+    keys = _row_keys(rows)
+    order = np.argsort(keys)
+    keys = keys[order]
+    masks = np.arange(1, 1 << n)
+    images = []
+    for k in range(n - 1):
+        swapped = masks ^ ((masks >> k ^ masks >> (k + 1)) & 1) * (3 << k)
+        images.append(order[np.searchsorted(keys, _row_keys(rows[:, swapped - 1]))])
+    return _orbit_labels(len(rows), lambda: images)
 
 
 def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult:
@@ -242,11 +261,12 @@ def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult
         for key, first in zip(keys, firsts.tolist())
     }
 
-    tables = list(relabelings(n))
-    known: dict[bytes, tuple[int, ...]] = {}
-    members: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for vals in vectors:
-        members.setdefault(_canonical_values(bytes(vals), tables, known), []).append(vals)
+    components: dict[int, list[tuple[int, ...]]] = {}
+    for vals, label in zip(keys, _exchange_labels(n, rows).tolist()):
+        components.setdefault(label, []).append(vals)
+    # each component is a whole relabeling orbit, so its least member is the
+    # canonical form of every member
+    members = {min(vals): vals for vals in components.values()}
     # satisfies, saturates and fails of every class in one gather
     signs = mmi_signs(np.array(list(members), dtype=np.int8))
     tallies = (signs[..., None] == np.array([1, 0, -1])).sum(axis=-2).tolist()

@@ -1,25 +1,20 @@
-"""The numpy batch kernels: entropy rows, MMI signs and qubit relabeling
-tables.  The one-state names of `mmi` (`EntropyVector`, `MmiInstance`,
-`MmiTally`, `entropy_vector`, `canonicalize`, `mmi_instances`,
-`evaluate_mmi`, `mmi_tally`) and `MmiOutcome` of `graphs` are re-exported
-here.
+"""The numpy batch kernels: entropy rows and MMI signs.  The one-state
+names of `mmi` (`EntropyVector`, `MmiInstance`, `MmiTally`,
+`entropy_vector`, `canonicalize`, `mmi_instances`, `evaluate_mmi`,
+`mmi_tally`) and `MmiOutcome` of `graphs` are re-exported here.
 
-`_entropy_rows` maps numpy batches of generator rows to value rows, chunks
-of thousands for the censuses; `mmi.entropy_vector` runs the same
-support-counting kernel on Python ints for one state.  The rank-per-mask
-`graphs.entropy` and `tableau.entropy` are the test oracle of both.  Qubit
-relabelings act on value rows through index tables of RELABEL_BLOCK
-relabelings each, which bounds the memory of the census's
-canonicalization; one vector is canonicalized by `mmi.canonicalize`.  MMI
-instances act on value rows through the mask table of `mmi.mmi_table`, so
-a batch of tallies is one gather; the per-instance `evaluate_mmi` is its
-test oracle.
+`_entropy_rows` maps numpy batches of generator rows to value rows, the
+thousands of LC-orbit roots of a census at once; `mmi.entropy_vector` runs
+the same support-counting kernel on Python ints for one state.  The
+rank-per-mask `graphs.entropy` and `tableau.entropy` are the test oracle of
+both.  MMI instances act on value rows through the mask table of
+`mmi.mmi_table`, so a batch of tallies is one gather; the per-instance
+`evaluate_mmi` is its test oracle.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import islice, permutations
 
 import numpy as np
 
@@ -37,18 +32,8 @@ __all__ = [
     "evaluate_mmi",
     "mmi_signs",
     "mmi_tally",
-    "relabelings",
-    "relabeled",
     "canonicalize",
 ]
-
-# qubit relabelings per index table
-RELABEL_BLOCK = 720
-
-
-def _index_bits(index: np.ndarray, width: int) -> np.ndarray:
-    """Rows of the low `width` bits of each index, least significant first."""
-    return (index[:, None] >> np.arange(width)) & 1
 
 
 def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -88,7 +73,7 @@ def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     for k in range(n):
         half = counts.reshape(-1, 2, 1 << k, batch)
         half[:, 1] += half[:, 0]
-    popcount = _index_bits(np.arange(size), n).sum(axis=1).astype(np.uint8)
+    popcount = (np.arange(size)[:, None] >> np.arange(n) & 1).sum(axis=1).astype(np.uint8)
     log2 = np.zeros(size + 1, dtype=np.uint8)
     log2[1 << np.arange(n + 1)] = np.arange(n + 1)
     return (popcount[1:, None] - log2[counts[1:]]).T.copy()
@@ -112,25 +97,4 @@ def mmi_signs(values, include_full_union: bool = True) -> np.ndarray:
     padded = np.insert(np.asarray(values, dtype=np.int8), 0, 0, axis=-1)
     s = padded[..., _mmi_table(padded.shape[-1].bit_length() - 1, include_full_union)]
     return np.sign(s[..., :3].sum(axis=-1, dtype=np.int8) - s[..., 3:].sum(axis=-1, dtype=np.int8))
-
-
-def relabelings(n: int):
-    """Index tables of every qubit relabeling, RELABEL_BLOCK rows per table.
-
-    Entry [p, m − 1] is the index of mask m after relabeling p, which moves
-    bit v to bit p[v]; indexing a value row by a table relabels it.
-    """
-    masks = _index_bits(np.arange(1, 1 << n), n)
-    dtype = np.min_scalar_type((1 << n) - 2)
-    perms = permutations(range(n))
-    while block := list(islice(perms, RELABEL_BLOCK)):
-        yield ((1 << np.array(block)) @ masks.T - 1).astype(dtype)
-
-
-def relabeled(row: bytes, tables):
-    """The value row (bytes, one per nonempty mask) under the relabelings of
-    each table: one list of bytes per table."""
-    values = np.frombuffer(row, dtype=np.uint8)
-    for table in tables:
-        yield values[table].view(np.dtype((np.void, table.shape[1]))).ravel().tolist()
 

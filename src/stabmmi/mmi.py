@@ -11,8 +11,9 @@ rank-per-mask `graphs.entropy` and `tableau.entropy`, and the per-instance
 `evaluate_mmi`, are the test oracles of both paths.
 
 `canonicalize` gives the qubit-exchange canonical form of one vector by a
-level-wise search over relabelings; the census canonicalizes its thousands
-of vectors through the numpy relabeling tables of `entropy` instead.
+level-wise search over relabelings.  The census needs no search: its
+distinct vectors hold every exchange class whole, and a class's least
+member is its canonical form.
 """
 
 from __future__ import annotations

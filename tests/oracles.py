@@ -71,6 +71,54 @@ def brute_canonical(n: int, values: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
+def relabeling_tables(n: int, block: int = 720):
+    """Index tables of every qubit relabeling, `block` relabelings per table.
+    Entry [p, m − 1] is the index of mask m after relabeling p, which moves
+    bit v to bit p[v]; indexing a value row by a table relabels it."""
+    masks = (np.arange(1, 1 << n)[:, None] >> np.arange(n)) & 1
+    dtype = np.min_scalar_type((1 << n) - 2)
+    perms = list(permutations(range(n)))
+    for start in range(0, len(perms), block):
+        yield ((1 << np.array(perms[start : start + block])) @ masks.T - 1).astype(dtype)
+
+
+def table_canonical(n: int, vectors, tables=None) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The least relabeled value tuple of each vector, over the rows of every
+    relabeling table.  Those rows are the vector's whole orbit, and they
+    share its minimum, so each orbit is relabeled once."""
+    tables = list(relabeling_tables(n)) if tables is None else tables
+    known: dict[bytes, tuple[int, ...]] = {}
+    out = {}
+    for vals in vectors:
+        key = bytes(vals)
+        if key not in known:
+            row = np.array(vals, dtype=np.uint8)
+            orbit = set()
+            for table in tables:
+                orbit.update(row[table].view(np.dtype((np.void, table.shape[1]))).ravel().tolist())
+            known.update(dict.fromkeys(orbit, tuple(min(orbit))))
+        out[tuple(vals)] = known[key]
+    return out
+
+
+def union_find_least(size: int, images) -> list[int]:
+    """The least index in the component of each of range(size), joining i
+    with image[i] for every image array, by union-find with the smaller root
+    kept."""
+    parent = list(range(size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for image in images:
+        for i, j in enumerate(image):
+            a, b = find(i), find(int(j))
+            parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(size)]
+
+
 def stirling2(m: int, k: int) -> int:
     """Stirling numbers of the second kind, by recurrence."""
     table = [[0] * (k + 1) for _ in range(m + 1)]

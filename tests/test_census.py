@@ -15,7 +15,7 @@ from stabmmi.graphs import CapExceeded, from_edges
 from stabmmi.star import find_star_partition
 
 from oracles import brute_canonical, brute_lagrangians, edge_mask_adjacency
-from oracles import per_graph_vector_counts, span_elements
+from oracles import per_graph_vector_counts, span_elements, table_canonical, union_find_least
 
 
 def rank_entropies(source) -> tuple[int, ...]:
@@ -208,6 +208,73 @@ def test_census_classes_match_canonicalize_oracle():
             canon = brute_canonical(n, vals)
             oracle[canon] = oracle.get(canon, 0) + cnt
         assert {k: v.state_count for k, v in result.classes.items()} == oracle
+
+
+@pytest.mark.parametrize(
+    "n, source", [(n, "groups") for n in range(1, 7)] + [(n, "graphs") for n in range(1, 8)]
+)
+def test_census_classes_are_the_table_grouping_of_the_vectors(n, source):
+    """The classes are the census's vectors grouped by their least relabeled
+    tuple over the numpy relabeling tables, in first-seen order: each with
+    the one-state tally of its canonical vector, its state count and member
+    number, and its first vector's representative."""
+    result = C.vector_census(n, source)
+    canon = table_canonical(n, result.vectors)
+    members = {}
+    for vals in result.vectors:
+        members.setdefault(canon[vals], []).append(vals)
+    multiplier = (1 << n) if source == "groups" else 1
+    want = {
+        key: C.ClassInfo(
+            key,
+            mmi_tally(EntropyVector(n, key)),
+            sum(result.vectors[v] for v in vals) * multiplier,
+            len(vals),
+            result.representatives[vals[0]],
+        )
+        for key, vals in members.items()
+    }
+    assert list(result.classes.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exchange_labels_are_relabeling_orbits(n):
+    """Each distinct vector's exchange label is the first vector with the
+    same least relabeled tuple: each component is one whole relabeling
+    orbit, whose least member the census takes as the canonical form."""
+    rows, _, _ = C._vector_counts(n, "graphs")
+    canon = table_canonical(n, rows.tolist())
+    first = {}
+    want = [first.setdefault(canon[vals], i) for i, vals in enumerate(map(tuple, rows.tolist()))]
+    assert C._exchange_labels(n, rows).tolist() == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_orbit_labels_match_union_find(seed):
+    """Each index's label is the least index of its component under three
+    seeded random involutions of range(200).  The first two swap alternate
+    neighbours along a shuffled order, which joins long runs of it into
+    paths that need several sweeps; the third swaps ten random pairs."""
+    rng = random.Random(90 + seed)
+    size = 200
+    order = rng.sample(range(size), size)
+    images = [np.arange(size) for _ in range(3)]
+    for image, offset in zip(images, (0, 1)):
+        for a, b in zip(order[offset::2], order[offset + 1 :: 2]):
+            if rng.random() < 0.9:
+                image[a], image[b] = b, a
+    picked = rng.sample(range(size), 20)
+    images[2][picked[::2]], images[2][picked[1::2]] = picked[1::2], picked[::2]
+    sweeps = []
+
+    def moves():
+        sweeps.append(None)
+        return iter(images)
+
+    label = C._orbit_labels(size, moves)
+    assert label.dtype == np.int32
+    assert label.tolist() == union_find_least(size, images)
+    assert len(sweeps) >= 3
 
 
 def test_vector_census_order_is_first_seen():

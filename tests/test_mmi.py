@@ -1,6 +1,6 @@
 """The one-state path of `mmi` against the rank-per-mask oracles, the batch
-kernel of `entropy`, the per-instance `evaluate_mmi`, and the census's
-relabeling-table canonicalization."""
+kernel of `entropy`, the per-instance `evaluate_mmi`, and the minimum over
+numpy relabeling tables (`oracles.table_canonical`)."""
 
 import random
 from functools import cache
@@ -16,6 +16,7 @@ from stabmmi import mmi
 from stabmmi import tableau as tabmod
 from stabmmi.graphs import MmiOutcome
 
+from oracles import relabeling_tables, table_canonical
 from test_tableau import random_tableau
 
 
@@ -93,20 +94,23 @@ def test_mmi_table_rows_are_the_sorted_instance_masks():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_canonicalize_matches_the_census_on_every_graph_vector(n):
+    """Every distinct vector of the graph census, against the tables."""
     rows, _, _ = census._vector_counts(n, "graphs")
-    tables = list(entmod.relabelings(n))
-    known = {}
+    want = table_canonical(n, rows.tolist())
     for row in rows.tolist():
         ev = mmi.EntropyVector(n, tuple(row))
-        assert mmi.canonicalize(ev).values == census._canonical_values(bytes(row), tables, known)
+        assert mmi.canonicalize(ev).values == want[tuple(row)]
 
 
 def test_canonicalize_matches_the_census_on_seeded_7_qubit_vectors():
+    """200 seeded distinct vectors of the 7-qubit graph census, against the
+    tables."""
     rows, _, _ = census._vector_counts(7, "graphs")
-    tables = list(entmod.relabelings(7))
-    for row in random.Random(77).sample(rows.tolist(), 200):
+    sample = random.Random(77).sample(rows.tolist(), 200)
+    want = table_canonical(7, sample)
+    for row in sample:
         ev = mmi.EntropyVector(7, tuple(row))
-        assert mmi.canonicalize(ev).values == census._canonical_values(bytes(row), tables, {})
+        assert mmi.canonicalize(ev).values == want[tuple(row)]
 
 
 # symmetric 8-qubit graphs, whose relabelings tie at many steps of the search;
@@ -127,14 +131,14 @@ _SYMMETRIC8 = {
 
 @cache
 def _relabelings8():
-    return list(entmod.relabelings(8))
+    return list(relabeling_tables(8))
 
 
 @pytest.mark.parametrize("name", list(_SYMMETRIC8))
 def test_canonicalize_matches_every_relabeling_on_symmetric_8_qubit_vectors(name):
     ev = mmi.entropy_vector(graphmod.from_edges(8, _SYMMETRIC8[name]))
-    least = min(min(rows) for rows in entmod.relabeled(bytes(ev.values), _relabelings8()))
-    assert mmi.canonicalize(ev).values == tuple(least)
+    want = table_canonical(8, [ev.values], _relabelings8())
+    assert mmi.canonicalize(ev).values == want[ev.values]
 
 
 def test_entropy_reexports_the_one_state_names():
