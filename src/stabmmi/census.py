@@ -3,15 +3,17 @@
 Entropy vectors are aggregated into distinct-vector sets and qubit-exchange
 classes with MMI tallies.  Local complementation (LC) of a graph is a local
 Clifford, and local Cliffords change no subsystem entropy (Van den Nest,
-Dehaene, De Moor, PRA 69, 022316, 2004), so the support-counting kernel of
-`entropy` runs once per labeled LC orbit, on its least edge mask.  A graph
-state's generators are X on vertex v times Z on its neighbours.  The
-distinct vectors are labeled by the same walk with the n − 1 adjacent qubit
+Dehaene, De Moor, PRA 69, 022316, 2004), so the support-counting kernel
+`_entropy_rows`, the numpy batch form of `entropy.entropy_vector`, runs
+once per labeled LC orbit, on its least edge mask.  A graph state's
+generators are X on vertex v times Z on its neighbours.  The distinct
+vectors are labeled by the same walk with the n − 1 adjacent qubit
 transpositions as moves.  These generate every relabeling, and the
 distinct vectors are closed under relabeling, so each component is one
 whole exchange class, and its least vector is the class's canonical form
-(the one `mmi.canonicalize` gives).  The four-star scan reads each orbit's
-members off the LC-orbit labels.
+(the one `entropy.canonicalize` gives).  `mmi_signs` tallies the classes in
+one gather through the mask table of `entropy.mmi_table`.  The four-star
+scan reads each orbit's members off the LC-orbit labels.
 
 Both censuses walk the same orbits: the group census weights each graph.  An
 unsigned stabilizer group is a maximal symplectically self-orthogonal
@@ -33,13 +35,14 @@ these weights total ∏(2^k + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
 
 from . import graphs as graphmod
 from . import star as starmod
-from .entropy import MmiTally, _entropy_rows, mmi_signs
+from .entropy import MmiTally, mmi_table
 from .gf2 import BitMatrix, rref
 from .graphs import Graph, check_census_size
 from .tableau import Tableau
@@ -50,6 +53,7 @@ __all__ = [
     "CensusResult",
     "enumerate_stabilizer_groups",
     "stabilizer_group_count",
+    "mmi_signs",
     "vector_census",
     "state_census",
     "four_star_conjecture_scan",
@@ -99,6 +103,73 @@ def stabilizer_group_count(n: int) -> int:
     for k in range(1, n + 1):
         total *= (1 << k) + 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# batch kernels: entropy rows and MMI signs
+
+
+def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Entropy rows from batches of generator rows.
+
+    For a stabilizer group S, the number of elements supported inside A is
+    2^(|A| − S_A) (Fattal et al., quant-ph/0406168), so a histogram of the
+    2^n element supports plus a subset-sum (zeta) transform yields every
+    subsystem entropy at once.
+
+    x and z have shape (B, n): entry [b, i] is the X- or Z-bitmask of
+    generator i of group b.  Returns uint8 rows of shape (B, 2^n − 1) whose
+    entry m − 1 is S_A for the nonempty mask m = A.  Work arrays are laid out
+    mask-major, (2^n, B), so every slice below is a contiguous block; they
+    are int32, which holds B·2^n < 2^31.
+    """
+    batch, n = z.shape
+    size = 1 << n
+    # element s is the product of the generators in bitmask s; its support
+    # is the union of its X- and Z-parts
+    x = np.asarray(x, dtype=np.int32).T
+    z = np.asarray(z, dtype=np.int32).T
+    x_parts = np.zeros((size, batch), dtype=np.int32)
+    z_parts = np.zeros((size, batch), dtype=np.int32)
+    for i in range(n):
+        np.bitwise_xor(x_parts[: 1 << i], x[i], out=x_parts[1 << i : 2 << i])
+        np.bitwise_xor(z_parts[: 1 << i], z[i], out=z_parts[1 << i : 2 << i])
+    # in place from here on: fresh arrays of this size cost more than the
+    # arithmetic; each support becomes its bincount slot, support·B + b
+    supports = x_parts
+    supports |= z_parts
+    supports *= batch
+    supports += np.arange(batch, dtype=np.int32)
+    counts = np.bincount(supports.ravel().astype(np.intp), minlength=size * batch)
+    counts = counts.reshape(size, batch)
+    # subset sums: counts[m] becomes the number of elements supported in m
+    for k in range(n):
+        half = counts.reshape(-1, 2, 1 << k, batch)
+        half[:, 1] += half[:, 0]
+    popcount = (np.arange(size)[:, None] >> np.arange(n) & 1).sum(axis=1).astype(np.uint8)
+    log2 = np.zeros(size + 1, dtype=np.uint8)
+    log2[1 << np.arange(n + 1)] = np.arange(n + 1)
+    return (popcount[1:, None] - log2[counts[1:]]).T.copy()
+
+
+@cache
+def _mmi_table(n: int, include_full_union: bool) -> np.ndarray:
+    """`entropy.mmi_table` as an index array; read-only."""
+    table = np.array(mmi_table(n, include_full_union), dtype=np.intp).reshape(-1, 7)
+    table.flags.writeable = False
+    return table
+
+
+def mmi_signs(values, include_full_union: bool = True) -> np.ndarray:
+    """Sign of S_IJ + S_IK + S_JK − (S_I + S_J + S_K + S_IJK) for every MMI
+    instance, in `mmi_instances` order: 1 satisfies, 0 saturates, −1 fails.
+
+    `values` holds value rows of shape (..., 2^n − 1), n read from the last
+    axis (one vector: `ev.values`); the result has shape (..., instances).
+    The gather is int8: entropies are at most n/2, so sums of four fit."""
+    padded = np.insert(np.asarray(values, dtype=np.int8), 0, 0, axis=-1)
+    s = padded[..., _mmi_table(padded.shape[-1].bit_length() - 1, include_full_union)]
+    return np.sign(s[..., :3].sum(axis=-1, dtype=np.int8) - s[..., 3:].sum(axis=-1, dtype=np.int8))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +392,7 @@ def _orbit_four_star_search(n: int, members: np.ndarray) -> tuple[Graph | None, 
     four-star (None if none has), and the members tested up to it."""
     for searched, mask in enumerate(members.tolist(), start=1):
         g = graphmod.from_edge_mask(n, mask)
-        if next(graphmod._induced_four_stars(g), None) is not None:
+        if next(graphmod.induced_four_stars(g), None) is not None:
             return g, searched
     return None, len(members)
 

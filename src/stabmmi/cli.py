@@ -106,34 +106,34 @@ def _check_qubits(n: int) -> None:
 
 
 def cmd_entropy(args) -> int:
-    from . import mmi as mmimod
+    from . import entropy as entmod
     source = load_source(args.input, args.format)
     _check_qubits(source.n)
-    ev = mmimod.entropy_vector(source)
-    canon = mmimod.canonicalize(ev)
+    ev = entmod.entropy_vector(source)
+    canon = entmod.canonicalize(ev)
     print(ev.to_json(canonical=False))
     print(canon.to_json(canonical=True))
     return EXIT_OK
 
 
-# text of each `mmi.instance_signs` entry
+# text of each `entropy.instance_signs` entry
 _OUTCOME = {sign: graphmod.MmiOutcome.of_sign(sign).value for sign in (1, 0, -1)}
 
 
 def cmd_mmi(args) -> int:
-    from . import mmi as mmimod
+    from . import entropy as entmod
     source = load_source(args.input, args.format)
     _check_qubits(source.n)
-    ev = mmimod.entropy_vector(source)
+    ev = entmod.entropy_vector(source)
     include = not args.skip_full_union
     names = _subset_names(ev.n)
-    signs = mmimod.instance_signs(ev, include)
+    signs = entmod.instance_signs(ev, include)
     lines = ["instance-I,instance-J,instance-K,outcome"]
     lines += [
         f"{names[i]},{names[j]},{names[k]},{_OUTCOME[sign]}"
-        for (_, _, _, i, j, k, _), sign in zip(mmimod.mmi_table(ev.n, include), signs)
+        for (_, _, _, i, j, k, _), sign in zip(entmod.mmi_table(ev.n, include), signs)
     ]
-    lines.append("tally," + ",".join(map(str, mmimod.MmiTally.of_signs(signs).as_triple())))
+    lines.append("tally," + ",".join(map(str, entmod.MmiTally.of_signs(signs).as_triple())))
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -159,7 +159,7 @@ def _parse_gate_line(line: str, lineno: int) -> tuple[str, tuple[int, ...]]:
 
 
 def cmd_circuit(args) -> int:
-    from . import mmi as mmimod
+    from . import entropy as entmod
     gates = [
         (i + 1, *_parse_gate_line(ln.strip(), i + 1))
         for i, ln in enumerate(_read_text(args.script).splitlines())
@@ -168,21 +168,21 @@ def cmd_circuit(args) -> int:
     n = args.n if args.n is not None else max([1, *(q for _, _, ops in gates for q in ops)])
     _check_qubits(n)
     t = tabmod.zero_state(n)
-    table = mmimod.mmi_table(n, True)
+    table = entmod.mmi_table(n, True)
     names = _subset_names(n)
-    ev = mmimod.entropy_vector(t)
-    signs = mmimod.instance_signs(ev)
+    ev = entmod.entropy_vector(t)
+    signs = entmod.instance_signs(ev)
     out = ["initial ranks: " + _render_ranks(ev, names)]  # written once every gate has applied
     for lineno, name, operands in gates:
         try:
             t = GATES[name][1](t, *operands)
         except (IndexError, ValueError) as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        prev, ev = ev, mmimod.entropy_vector(t)
+        prev, ev = ev, entmod.entropy_vector(t)
         out.append(f"after {name} {' '.join(map(str, operands))}: " + _render_ranks(ev, names))
         if ev.values == prev.values:  # equal vectors have equal signs
             continue
-        now = mmimod.instance_signs(ev)
+        now = entmod.instance_signs(ev)
         for (_, _, _, i, j, k, _), before, after in zip(table, signs, now):
             if before != after:
                 out.append(

@@ -1,26 +1,31 @@
-"""The numpy batch kernels: entropy rows and MMI signs.  The one-state
-names of `mmi` (`EntropyVector`, `MmiInstance`, `MmiTally`,
-`entropy_vector`, `canonicalize`, `mmi_instances`, `evaluate_mmi`,
-`mmi_tally`) and `MmiOutcome` of `graphs` are re-exported here.
+"""One state's entropy vector and MMI outcomes, without numpy.
 
-`_entropy_rows` maps numpy batches of generator rows to value rows, the
-thousands of LC-orbit roots of a census at once; `mmi.entropy_vector` runs
-the same support-counting kernel on Python ints for one state.  The
-rank-per-mask `graphs.entropy` and `tableau.entropy` are the test oracle of
-both.  MMI instances act on value rows through the mask table of
-`mmi.mmi_table`, so a batch of tallies is one gather; the per-instance
-`evaluate_mmi` is its test oracle.
+Subsets of qubits are bitmasks with qubit t at bit t−1.  An entropy vector
+stores S_A for every nonempty mask A; entries are exact naturals (bits).
+
+`entropy_vector` runs the support-counting kernel of `census._entropy_rows`
+on Python ints for one state; the batch kernel serves the censuses.  MMI
+instances are rows of one cached mask table per n, which `census.mmi_signs`
+gathers for value batches and `instance_signs` reads for one vector.  The
+rank-per-mask `graphs.entropy` and `tableau.entropy`, and the per-instance
+`evaluate_mmi`, are the test oracles of both paths.
+
+`canonicalize` gives the qubit-exchange canonical form of one vector by a
+level-wise search over relabelings.  The census needs no search: its
+distinct vectors hold every exchange class whole, and a class's least
+member is its canonical form.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cache
+from operator import add
+import json
 
-import numpy as np
-
+from . import graphs as graphmod
+from . import tableau as tabmod
 from .graphs import MmiOutcome
-from .mmi import EntropyVector, MmiInstance, MmiTally, canonicalize, entropy_vector
-from .mmi import evaluate_mmi, mmi_instances, mmi_table, mmi_tally
 
 __all__ = [
     "EntropyVector",
@@ -28,73 +33,222 @@ __all__ = [
     "MmiOutcome",
     "MmiTally",
     "entropy_vector",
+    "canonicalize",
+    "mmi_table",
     "mmi_instances",
     "evaluate_mmi",
-    "mmi_signs",
+    "instance_signs",
     "mmi_tally",
-    "canonicalize",
 ]
 
 
-def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Entropy rows from batches of generator rows.
+@dataclass(frozen=True)
+class EntropyVector:
+    """S_A for all nonempty masks A; values[m-1] holds mask m."""
 
-    For a stabilizer group S, the number of elements supported inside A is
-    2^(|A| − S_A) (Fattal et al., quant-ph/0406168), so a histogram of the
-    2^n element supports plus a subset-sum (zeta) transform yields every
-    subsystem entropy at once.
+    n: int
+    values: tuple[int, ...]
 
-    x and z have shape (B, n): entry [b, i] is the X- or Z-bitmask of
-    generator i of group b.  Returns uint8 rows of shape (B, 2^n − 1) whose
-    entry m − 1 is S_A for the nonempty mask m = A.  Work arrays are laid out
-    mask-major, (2^n, B), so every slice below is a contiguous block; they
-    are int32, which holds B·2^n < 2^31.
-    """
-    batch, n = z.shape
+    def __post_init__(self) -> None:
+        full = (1 << self.n) - 1
+        if len(self.values) != full:
+            raise ValueError("entropy vector needs one value per nonempty mask")
+        if self.values[full - 1] != 0:
+            raise ValueError("pure state: full-system entropy must be zero")
+        for mask in range(1, full):
+            if self.values[mask - 1] != self.values[(full ^ mask) - 1]:
+                raise ValueError("pure state: S_A must equal S_complement")
+            # with the symmetry above, this bounds S_A by n/2, as census.mmi_signs needs
+            if not 0 <= self.values[mask - 1] <= bin(mask).count("1"):
+                raise ValueError("entropy out of range: 0 ≤ S_A ≤ |A| qubits")
+
+    def __getitem__(self, mask: int) -> int:
+        if mask == 0:
+            return 0
+        return self.values[mask - 1]
+
+    def to_json(self, canonical: bool = False) -> str:
+        ent = {str(mask): self.values[mask - 1] for mask in range(1, (1 << self.n))}
+        return json.dumps({"n": self.n, "entropies": ent, "canonical": canonical}, sort_keys=True)
+
+
+@dataclass(frozen=True)
+class MmiInstance:
+    """Unordered triple of disjoint nonempty subsystem masks, stored i<j<k."""
+
+    i: int
+    j: int
+    k: int
+
+    def __post_init__(self) -> None:
+        i, j, k = self.i, self.j, self.k
+        if not (0 < i and 0 < j and 0 < k):
+            raise ValueError("subsystems must be nonempty")
+        if i & j or i & k or j & k:
+            raise ValueError("subsystems must be pairwise disjoint")
+        if not i < j < k:
+            lo, mid, hi = sorted((i, j, k))
+            object.__setattr__(self, "i", lo)
+            object.__setattr__(self, "j", mid)
+            object.__setattr__(self, "k", hi)
+
+
+@dataclass(frozen=True)
+class MmiTally:
+    satisfies: int
+    saturates: int
+    fails: int
+
+    @classmethod
+    def of_signs(cls, signs: list[int]) -> "MmiTally":
+        """The tally of a list of `instance_signs`."""
+        return cls(signs.count(1), signs.count(0), signs.count(-1))
+
+    def as_triple(self) -> tuple[int, int, int]:
+        return (self.satisfies, self.saturates, self.fails)
+
+
+def entropy_vector(source) -> EntropyVector:
+    """Full entropy vector of a Graph (x = identity, z = adjacency) or a
+    Tableau.
+
+    The same kernel as `census._entropy_rows`, for one state: the number of
+    group elements supported inside A is 2^(|A| − S_A) (Fattal et al.,
+    quant-ph/0406168), counted by a histogram of the 2^n element supports
+    and a subset-sum (zeta) transform."""
+    if isinstance(source, graphmod.Graph):
+        x, z = [1 << v for v in range(source.n)], source.adj
+    elif isinstance(source, tabmod.Tableau):
+        x, z = source.x.rows, source.z.rows
+    else:
+        raise TypeError(f"unsupported source {type(source).__name__}")
+    n = source.n
     size = 1 << n
-    # element s is the product of the generators in bitmask s; its support
-    # is the union of its X- and Z-parts
-    x = np.asarray(x, dtype=np.int32).T
-    z = np.asarray(z, dtype=np.int32).T
-    x_parts = np.zeros((size, batch), dtype=np.int32)
-    z_parts = np.zeros((size, batch), dtype=np.int32)
-    for i in range(n):
-        np.bitwise_xor(x_parts[: 1 << i], x[i], out=x_parts[1 << i : 2 << i])
-        np.bitwise_xor(z_parts[: 1 << i], z[i], out=z_parts[1 << i : 2 << i])
-    # in place from here on: fresh arrays of this size cost more than the
-    # arithmetic; each support becomes its bincount slot, support·B + b
-    supports = x_parts
-    supports |= z_parts
-    supports *= batch
-    supports += np.arange(batch, dtype=np.int32)
-    counts = np.bincount(supports.ravel().astype(np.intp), minlength=size * batch)
-    counts = counts.reshape(size, batch)
+    # element s is the product of the generators in bitmask s, its X-part in
+    # the low n bits and its Z-part above; its support is their union
+    elements = [0]
+    for xi, zi in zip(x, z):
+        gen = xi | zi << n
+        elements += [e ^ gen for e in elements]
+    counts = [0] * size
+    for e in elements:
+        counts[(e | e >> n) & (size - 1)] += 1
     # subset sums: counts[m] becomes the number of elements supported in m
     for k in range(n):
-        half = counts.reshape(-1, 2, 1 << k, batch)
-        half[:, 1] += half[:, 0]
-    popcount = (np.arange(size)[:, None] >> np.arange(n) & 1).sum(axis=1).astype(np.uint8)
-    log2 = np.zeros(size + 1, dtype=np.uint8)
-    log2[1 << np.arange(n + 1)] = np.arange(n + 1)
-    return (popcount[1:, None] - log2[counts[1:]]).T.copy()
+        bit = 1 << k
+        for base in range(0, size, bit << 1):
+            top = base + bit
+            counts[top : top + bit] = map(add, counts[top : top + bit], counts[base:top])
+    values = tuple(m.bit_count() - c.bit_length() + 1 for m, c in enumerate(counts) if m)
+    return EntropyVector(n, values)
+
+
+def canonicalize(ev: EntropyVector) -> EntropyVector:
+    """Minimum over all qubit relabelings of the mask-ordered value tuple.
+
+    A relabeling p places one qubit at each position 0..n−1, and the
+    relabeled value at mask m is S of p(m).  Masks below 2^(k+1) read only
+    positions 0..k, so qubits are placed one position at a time: step k
+    fixes the values of masks 2^k … 2^(k+1)−1 (the block), and only the
+    partial maps whose block equals the least block of the step survive.
+
+    Survivors are then merged by a residual key: the values S of p(T) | U
+    for every set T of placed positions and every set U of remaining
+    qubits, with U enumerated in the remaining qubits' ascending order.
+    Two partial maps with equal keys have the same set of completions: the
+    order-preserving bijection between their remaining qubits carries each
+    completion of one to a completion of the other with the same value
+    tuple.  So a fully symmetric vector keeps one partial map per step.
+    Each map is held as its image list: entry m is p(m) for m < 2^k."""
+    n = ev.n
+    s = (0, *ev.values)
+    full = (1 << n) - 1
+    level = [[0]]
+    for _ in range(n):
+        best, survivors = None, []
+        for images in level:
+            free = full ^ images[-1]
+            while free:
+                bit = free & -free
+                free ^= bit
+                block = [s[bit | m] for m in images]
+                if best is None or block < best:
+                    best, survivors = block, [(images, bit)]
+                elif block == best:
+                    survivors.append((images, bit))
+        merged = {}
+        for images, bit in survivors:
+            placed = images + [bit | m for m in images]
+            # the images of the completion by the remaining qubits in ascending order
+            completed, rest = placed, full ^ placed[-1]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                completed = completed + [low | m for m in completed]
+            merged.setdefault(tuple([s[m] for m in completed]), placed)
+        level = list(merged.values())
+    return EntropyVector(n, tuple([s[m] for m in level[0][1:]]))
+
+
+def _submasks_above(mask: int, low: int):
+    """Nonempty submasks of mask above low, which is disjoint from mask, in
+    ascending order.  Disjoint masks differ at their higher top bit, so a
+    submask is above low exactly when it has a bit above low's top bit."""
+    sub = mask >> low.bit_length() << low.bit_length()
+    sub &= -sub
+    while sub:
+        yield sub
+        sub = (sub - mask) & mask
 
 
 @cache
-def _mmi_table(n: int, include_full_union: bool) -> np.ndarray:
-    """`mmi.mmi_table` as an index array; read-only."""
-    table = np.array(mmi_table(n, include_full_union), dtype=np.intp).reshape(-1, 7)
-    table.flags.writeable = False
-    return table
+def mmi_table(n: int, include_full_union: bool) -> tuple[tuple[int, ...], ...]:
+    """Masks I|J, I|K, J|K, I, J, K, I|J|K of every unordered triple of
+    pairwise-disjoint nonempty subsystems I < J < K, one row per instance,
+    sorted by (I, J, K); none for n < 3.  Without the full union, the
+    triples that cover all n qubits are left out."""
+    full = (1 << n) - 1
+    rows = []
+    for i in range(1, full + 1):
+        rest_i = full ^ i
+        for j in _submasks_above(rest_i, i):
+            rest_j = rest_i ^ j
+            for k in _submasks_above(rest_j, j):
+                if include_full_union or k != rest_j:
+                    rows.append((i | j, i | k, j | k, i, j, k, i | j | k))
+    return tuple(rows)
 
 
-def mmi_signs(values, include_full_union: bool = True) -> np.ndarray:
+def mmi_instances(n: int, include_full_union: bool = True) -> list[MmiInstance]:
+    """The MMI instances of `mmi_table`, in its order."""
+    return [MmiInstance(i, j, k) for _, _, _, i, j, k, _ in mmi_table(n, include_full_union)]
+
+
+def evaluate_mmi(ev: EntropyVector, inst: MmiInstance) -> MmiOutcome:
+    """Compare S_IJ + S_IK + S_JK against S_I + S_J + S_K + S_IJK."""
+    i, j, k = inst.i, inst.j, inst.k
+    lhs = ev[i | j] + ev[i | k] + ev[j | k]
+    rhs = ev[i] + ev[j] + ev[k] + ev[i | j | k]
+    if lhs > rhs:
+        return MmiOutcome.SATISFIES
+    if lhs == rhs:
+        return MmiOutcome.SATURATES
+    return MmiOutcome.FAILS
+
+
+def instance_signs(ev: EntropyVector, include_full_union: bool = True) -> list[int]:
     """Sign of S_IJ + S_IK + S_JK − (S_I + S_J + S_K + S_IJK) for every MMI
-    instance, in `mmi_instances` order: 1 satisfies, 0 saturates, −1 fails.
+    instance of one vector, in `mmi_table` order: 1 satisfies, 0 saturates,
+    −1 fails."""
+    s = (0, *ev.values)
+    return [
+        (d > 0) - (d < 0)
+        for d in (
+            s[ij] + s[ik] + s[jk] - s[i] - s[j] - s[k] - s[ijk]
+            for ij, ik, jk, i, j, k, ijk in mmi_table(ev.n, include_full_union)
+        )
+    ]
 
-    `values` holds value rows of shape (..., 2^n − 1), n read from the last
-    axis (one vector: `ev.values`); the result has shape (..., instances).
-    The gather is int8: entropies are at most n/2, so sums of four fit."""
-    padded = np.insert(np.asarray(values, dtype=np.int8), 0, 0, axis=-1)
-    s = padded[..., _mmi_table(padded.shape[-1].bit_length() - 1, include_full_union)]
-    return np.sign(s[..., :3].sum(axis=-1, dtype=np.int8) - s[..., 3:].sum(axis=-1, dtype=np.int8))
 
+def mmi_tally(ev: EntropyVector, include_full_union: bool = True) -> MmiTally:
+    return MmiTally.of_signs(instance_signs(ev, include_full_union))

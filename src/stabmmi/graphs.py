@@ -1,8 +1,8 @@
 """Simple graphs for graph states: adjacency bitmasks, local complementation,
 LC orbits, bipartition submatrices, adjacency-rank entropies, induced
 four-star detection, and graph6 / JSON edge-list I/O.  The three MMI
-outcomes and the census size caps live here too, so that `star`, `mmi` and
-the CLI can use them without numpy.
+outcomes and the census size caps live here too, so that `entropy`, `star`
+and the CLI can use them without numpy.
 
 Vertices are 1-based in the public edge API; `adj[v]` is the neighborhood
 bitmask of vertex v+1 with bit w = vertex w+1.
@@ -31,7 +31,6 @@ __all__ = [
     "submatrix",
     "entropy",
     "induced_four_stars",
-    "minimal_edge_representative",
     "to_graph6",
     "from_graph6",
     "to_json",
@@ -133,7 +132,7 @@ def local_complement(g: Graph, a: int) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def lc_orbit(g: Graph, node_budget: int = 10**6) -> set[Graph]:
+def lc_orbit(g: Graph) -> set[Graph]:
     """BFS closure under local complementation, deduped by labeled adjacency."""
     seen = {g}
     queue = deque([g])
@@ -144,10 +143,6 @@ def lc_orbit(g: Graph, node_budget: int = 10**6) -> set[Graph]:
                 continue
             nxt = local_complement(cur, a)
             if nxt not in seen:
-                if len(seen) >= node_budget:
-                    raise RuntimeError(
-                        f"LC orbit exceeded node budget {node_budget} (partial size {len(seen)})"
-                    )
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
@@ -178,7 +173,8 @@ def entropy(g: Graph, a_mask: int) -> int:
     return rank(submatrix(g, a_mask))
 
 
-def _induced_four_stars(g: Graph) -> Iterator[tuple[int, tuple[int, int, int]]]:
+def induced_four_stars(g: Graph) -> Iterator[tuple[int, tuple[int, int, int]]]:
+    """Each induced K_{1,3} subgraph as (center, (leaf, leaf, leaf)), 1-based."""
     for quad in combinations(range(g.n), 4):
         for c in quad:
             leaves = [v for v in quad if v != c]
@@ -186,19 +182,6 @@ def _induced_four_stars(g: Graph) -> Iterator[tuple[int, tuple[int, int, int]]]:
                 (g.adj[u] >> v) & 1 for u, v in combinations(leaves, 2)
             ):
                 yield c + 1, tuple(v + 1 for v in leaves)
-
-
-def induced_four_stars(g: Graph) -> list[tuple[int, tuple[int, int, int]]]:
-    """All induced K_{1,3} subgraphs as (center, (leaf, leaf, leaf)), 1-based."""
-    return list(_induced_four_stars(g))
-
-
-def minimal_edge_representative(orbit: Iterable[Graph]) -> Graph:
-    """Fewest-edge member; ties broken by smallest graph6 string."""
-    members = list(orbit)
-    if not members:
-        raise ValueError("empty orbit")
-    return min(members, key=lambda g: (g.edge_count(), to_graph6(g)))
 
 
 def to_graph6(g: Graph) -> str:

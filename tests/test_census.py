@@ -8,7 +8,7 @@ import pytest
 from stabmmi import census as C
 from stabmmi import graphs as graphmod
 from stabmmi import tableau as tabmod
-from stabmmi.entropy import EntropyVector, MmiOutcome, _entropy_rows, entropy_vector
+from stabmmi.entropy import EntropyVector, MmiOutcome, entropy_vector
 from stabmmi.entropy import evaluate_mmi, mmi_instances, mmi_tally
 from stabmmi.gf2 import BitMatrix, rref
 from stabmmi.graphs import CapExceeded, from_edges
@@ -143,7 +143,7 @@ def test_weighted_group_counts_match_every_group(n):
     groups = list(C.enumerate_stabilizer_groups(n))
     x = np.array([t.x.rows for t in groups])
     z = np.array([t.z.rows for t in groups])
-    plain = Counter(row.tobytes() for row in _entropy_rows(x, z))
+    plain = Counter(row.tobytes() for row in C._entropy_rows(x, z))
     rows, counts, _firsts = C._vector_counts(n, "groups")
     assert counts.dtype == np.int64
     assert dict(zip((row.tobytes() for row in rows), counts.tolist())) == plain
@@ -404,7 +404,9 @@ def test_four_star_witness_is_least_orbit_mask_with_a_four_star(n):
     for rec in records:
         rep = graphmod.from_graph6(rec["representative"])
         orbit = sorted(map(edge_mask, graphmod.lc_orbit(rep)))
-        hits = [m for m in orbit if graphmod.induced_four_stars(graphmod.from_edge_mask(n, m))]
+        hits = [
+            m for m in orbit if list(graphmod.induced_four_stars(graphmod.from_edge_mask(n, m)))
+        ]
         witness = edge_mask(graphmod.from_graph6(rec["witness"]))
         assert edge_mask(rep) == orbit[0] and witness == hits[0]
         assert rec["orbit_searched"] == orbit.index(witness) + 1

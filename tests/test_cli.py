@@ -305,7 +305,7 @@ def test_untyped_errors_are_internal(run, tmp_path, monkeypatch, error):
     def fail(source):
         raise error
 
-    monkeypatch.setattr("stabmmi.mmi.entropy_vector", fail)
+    monkeypatch.setattr("stabmmi.entropy.entropy_vector", fail)
     code, _, err = run("entropy", write_star4(tmp_path))
     assert code == 4
     assert err.startswith("internal invariant violation:")

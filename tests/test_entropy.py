@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stabmmi import tableau as tabmod
+from stabmmi.census import mmi_signs
 from stabmmi.entropy import (
     EntropyVector,
     MmiInstance,
@@ -14,7 +15,6 @@ from stabmmi.entropy import (
     entropy_vector,
     evaluate_mmi,
     mmi_instances,
-    mmi_signs,
     mmi_tally,
 )
 from stabmmi.graphs import from_edges

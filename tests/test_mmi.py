@@ -1,6 +1,7 @@
-"""The one-state path of `mmi` against the rank-per-mask oracles, the batch
-kernel of `entropy`, the per-instance `evaluate_mmi`, and the minimum over
-numpy relabeling tables (`oracles.table_canonical`)."""
+"""The one-state path of `entropy` against the rank-per-mask oracles, the
+batch kernel and MMI-sign gather of `census`, the per-instance
+`evaluate_mmi`, and the minimum over numpy relabeling tables
+(`oracles.table_canonical`)."""
 
 import random
 from functools import cache
@@ -12,7 +13,6 @@ import pytest
 from stabmmi import census
 from stabmmi import entropy as entmod
 from stabmmi import graphs as graphmod
-from stabmmi import mmi
 from stabmmi import tableau as tabmod
 from stabmmi.graphs import MmiOutcome
 
@@ -22,7 +22,7 @@ from test_tableau import random_tableau
 
 def kernel_row(x, z) -> tuple[int, ...]:
     """The batch kernel's row for one state's generator rows."""
-    return tuple(entmod._entropy_rows(np.array([x]), np.array([z]))[0].tolist())
+    return tuple(census._entropy_rows(np.array([x]), np.array([z]))[0].tolist())
 
 
 def rank_values(module, source) -> tuple[int, ...]:
@@ -38,7 +38,7 @@ def random_graph(rng, n):
 def test_entropy_vector_matches_oracles_on_every_small_graph(n):
     for mask in range(1 << (n * (n - 1) // 2)):
         g = graphmod.from_edge_mask(n, mask)
-        values = mmi.entropy_vector(g).values
+        values = entmod.entropy_vector(g).values
         assert values == rank_values(graphmod, g)
         assert values == kernel_row([1 << v for v in range(n)], g.adj)
 
@@ -48,7 +48,7 @@ def test_entropy_vector_matches_oracles_on_seeded_tableaux(n):
     rng = random.Random(70 + n)
     for _ in range(200):
         t = random_tableau(rng, n)
-        values = mmi.entropy_vector(t).values
+        values = entmod.entropy_vector(t).values
         assert values == rank_values(tabmod, t)
         assert values == kernel_row(t.x.rows, t.z.rows)
 
@@ -62,20 +62,20 @@ def test_instance_signs_match_evaluate_mmi_and_mmi_signs(n, include_full_union):
     sources = [random_graph(rng, n) for _ in range(6)]
     if n > 1:
         sources += [random_tableau(rng, n) for _ in range(6)]
-    table = mmi.mmi_table(n, include_full_union)
-    assert entmod._mmi_table(n, include_full_union).tolist() == [list(row) for row in table]
-    instances = mmi.mmi_instances(n, include_full_union)
+    table = entmod.mmi_table(n, include_full_union)
+    assert census._mmi_table(n, include_full_union).tolist() == [list(row) for row in table]
+    instances = entmod.mmi_instances(n, include_full_union)
     assert [(t.i, t.j, t.k) for t in instances] == [row[3:6] for row in table]
     if n < 3:
         assert table == ()
     for source in sources:
-        ev = mmi.entropy_vector(source)
-        signs = mmi.instance_signs(ev, include_full_union)
+        ev = entmod.entropy_vector(source)
+        signs = entmod.instance_signs(ev, include_full_union)
         assert [MmiOutcome.of_sign(s) for s in signs] == [
-            mmi.evaluate_mmi(ev, inst) for inst in instances
+            entmod.evaluate_mmi(ev, inst) for inst in instances
         ]
-        assert signs == entmod.mmi_signs(ev.values, include_full_union).tolist()
-        tally = mmi.mmi_tally(ev, include_full_union)
+        assert signs == census.mmi_signs(ev.values, include_full_union).tolist()
+        tally = entmod.mmi_tally(ev, include_full_union)
         assert tally.as_triple() == (signs.count(1), signs.count(0), signs.count(-1))
 
 
@@ -87,7 +87,7 @@ def test_mmi_table_rows_are_the_sorted_instance_masks():
             for i, j, k in combinations(range(1, full + 1), 3)
             if not (i & j or i & k or j & k) and (include_full_union or i | j | k != full)
         )
-        assert mmi.mmi_table(n, include_full_union) == tuple(
+        assert entmod.mmi_table(n, include_full_union) == tuple(
             (i | j, i | k, j | k, i, j, k, i | j | k) for i, j, k in triples
         ), (n, include_full_union)
 
@@ -98,8 +98,8 @@ def test_canonicalize_matches_the_census_on_every_graph_vector(n):
     rows, _, _ = census._vector_counts(n, "graphs")
     want = table_canonical(n, rows.tolist())
     for row in rows.tolist():
-        ev = mmi.EntropyVector(n, tuple(row))
-        assert mmi.canonicalize(ev).values == want[tuple(row)]
+        ev = entmod.EntropyVector(n, tuple(row))
+        assert entmod.canonicalize(ev).values == want[tuple(row)]
 
 
 def test_canonicalize_matches_the_census_on_seeded_7_qubit_vectors():
@@ -109,8 +109,8 @@ def test_canonicalize_matches_the_census_on_seeded_7_qubit_vectors():
     sample = random.Random(77).sample(rows.tolist(), 200)
     want = table_canonical(7, sample)
     for row in sample:
-        ev = mmi.EntropyVector(7, tuple(row))
-        assert mmi.canonicalize(ev).values == want[tuple(row)]
+        ev = entmod.EntropyVector(7, tuple(row))
+        assert entmod.canonicalize(ev).values == want[tuple(row)]
 
 
 # symmetric 8-qubit graphs, whose relabelings tie at many steps of the search;
@@ -136,12 +136,6 @@ def _relabelings8():
 
 @pytest.mark.parametrize("name", list(_SYMMETRIC8))
 def test_canonicalize_matches_every_relabeling_on_symmetric_8_qubit_vectors(name):
-    ev = mmi.entropy_vector(graphmod.from_edges(8, _SYMMETRIC8[name]))
+    ev = entmod.entropy_vector(graphmod.from_edges(8, _SYMMETRIC8[name]))
     want = table_canonical(8, [ev.values], _relabelings8())
-    assert mmi.canonicalize(ev).values == want[ev.values]
-
-
-def test_entropy_reexports_the_one_state_names():
-    for name in ("EntropyVector", "MmiInstance", "MmiTally", "entropy_vector", "canonicalize",
-                 "mmi_instances", "evaluate_mmi", "mmi_tally"):
-        assert getattr(entmod, name) is getattr(mmi, name)
+    assert entmod.canonicalize(ev).values == want[ev.values]
