@@ -18,7 +18,7 @@ member is its canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from operator import add
 import json
@@ -42,26 +42,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EntropyVector:
+class EntropyVector(namedtuple("EntropyVector", "n values")):
     """S_A for all nonempty masks A; values[m-1] holds mask m."""
 
-    n: int
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        full = (1 << self.n) - 1
-        if len(self.values) != full:
+    def __new__(cls, n: int, values: tuple[int, ...]) -> EntropyVector:
+        full = (1 << n) - 1
+        if len(values) != full:
             raise ValueError("entropy vector needs one value per nonempty mask")
-        if self.values[full - 1] != 0:
+        if values[full - 1] != 0:
             raise ValueError("pure state: full-system entropy must be zero")
         for mask in range(1, full):
-            if self.values[mask - 1] != self.values[(full ^ mask) - 1]:
+            if values[mask - 1] != values[(full ^ mask) - 1]:
                 raise ValueError("pure state: S_A must equal S_complement")
             # with the symmetry above, this bounds S_A by n/2, as census.mmi_signs needs
-            if not 0 <= self.values[mask - 1] <= bin(mask).count("1"):
+            if not 0 <= values[mask - 1] <= bin(mask).count("1"):
                 raise ValueError("entropy out of range: 0 ≤ S_A ≤ |A| qubits")
+        return super().__new__(cls, n, values)
 
+    # indexing is by mask; the field accessors read the tuple slots directly
     def __getitem__(self, mask: int) -> int:
         if mask == 0:
             return 0
@@ -72,32 +72,23 @@ class EntropyVector:
         return json.dumps({"n": self.n, "entropies": ent, "canonical": canonical}, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class MmiInstance:
+class MmiInstance(namedtuple("MmiInstance", "i j k")):
     """Unordered triple of disjoint nonempty subsystem masks, stored i<j<k."""
 
-    i: int
-    j: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        i, j, k = self.i, self.j, self.k
+    def __new__(cls, i: int, j: int, k: int) -> MmiInstance:
         if not (0 < i and 0 < j and 0 < k):
             raise ValueError("subsystems must be nonempty")
         if i & j or i & k or j & k:
             raise ValueError("subsystems must be pairwise disjoint")
         if not i < j < k:
-            lo, mid, hi = sorted((i, j, k))
-            object.__setattr__(self, "i", lo)
-            object.__setattr__(self, "j", mid)
-            object.__setattr__(self, "k", hi)
+            i, j, k = sorted((i, j, k))
+        return super().__new__(cls, i, j, k)
 
 
-@dataclass(frozen=True)
-class MmiTally:
-    satisfies: int
-    saturates: int
-    fails: int
+class MmiTally(namedtuple("MmiTally", "satisfies saturates fails")):
+    __slots__ = ()
 
     @classmethod
     def of_signs(cls, signs: list[int]) -> "MmiTally":

@@ -8,23 +8,22 @@ which makes equality a plain tuple comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(namedtuple("BitMatrix", "rows cols")):
     """A matrix over GF(2); `rows[i]` packs row i, bit j = column j."""
 
-    rows: tuple[int, ...]
-    cols: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cols < 0:
+    def __new__(cls, rows: tuple[int, ...], cols: int) -> BitMatrix:
+        if cols < 0:
             raise ValueError("negative column count")
-        for r in self.rows:
-            if r >> self.cols:
+        for r in rows:
+            if r >> cols:
                 raise ValueError("row has bits beyond column count")
+        return super().__new__(cls, rows, cols)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], cols: int | None = None) -> "BitMatrix":
@@ -91,20 +90,17 @@ def rank(m: BitMatrix) -> int:
     return len(rref(m)[1])
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(namedtuple("Subspace", "ambient basis")):
     """A subspace of Z_2^ambient with a canonical RREF basis."""
 
-    ambient: int
-    basis: BitMatrix = field(default=None)  # type: ignore[assignment]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.basis is None:
-            object.__setattr__(self, "basis", BitMatrix((), self.ambient))
-        if self.basis.cols != self.ambient:
+    def __new__(cls, ambient: int, basis: BitMatrix | None = None) -> Subspace:
+        if basis is None:
+            basis = BitMatrix((), ambient)
+        if basis.cols != ambient:
             raise ValueError("basis width must equal ambient dimension")
-        reduced, _ = rref(self.basis)
-        object.__setattr__(self, "basis", reduced)
+        return super().__new__(cls, ambient, rref(basis)[0])
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":

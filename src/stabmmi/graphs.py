@@ -11,11 +11,10 @@ bitmask of vertex v+1 with bit w = vertex w+1.
 from __future__ import annotations
 
 import json
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator
 
 from .gf2 import BitMatrix, rank
 
@@ -68,24 +67,23 @@ class MmiOutcome(Enum):
         return cls.SATURATES if sign == 0 else cls.FAILS
 
 
-@dataclass(frozen=True)
-class Graph:
-    n: int
-    adj: tuple[int, ...]
+class Graph(namedtuple("Graph", "n adj")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if len(self.adj) != self.n:
+        if len(adj) != n:
             raise ValueError("adjacency row count must equal n")
-        for v, row in enumerate(self.adj):
-            if row >> self.n:
+        for v, row in enumerate(adj):
+            if row >> n:
                 raise ValueError("adjacency bits beyond vertex range")
             if (row >> v) & 1:
                 raise ValueError("self-loop")
-            for w in range(v + 1, self.n):
-                if ((row >> w) & 1) != ((self.adj[w] >> v) & 1):
+            for w in range(v + 1, n):
+                if ((row >> w) & 1) != ((adj[w] >> v) & 1):
                     raise ValueError("adjacency not symmetric")
+        return super().__new__(cls, n, adj)
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted 1-based edge list."""
@@ -95,9 +93,6 @@ class Graph:
                 if (self.adj[v] >> w) & 1:
                     out.append((v + 1, w + 1))
         return out
-
-    def edge_count(self) -> int:
-        return sum(bin(r).count("1") for r in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u - 1] >> (v - 1)) & 1)

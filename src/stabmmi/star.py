@@ -15,7 +15,7 @@ unordered block triple {I, J, K} once; on a hit all six orders compete.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations, product
 
 from .graphs import Graph, MmiOutcome
@@ -36,17 +36,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StarPartition:
+class StarPartition(namedtuple("StarPartition", "c i j k")):
     """Disjoint masks c, i, j, k covering all vertices, each nonempty."""
 
-    c: int
-    i: int
-    j: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        parts = (self.c, self.i, self.j, self.k)
+    def __new__(cls, c: int, i: int, j: int, k: int) -> StarPartition:
+        parts = (c, i, j, k)
         if any(p == 0 for p in parts):
             raise ValueError("all four parts must be nonempty")
         union = 0
@@ -54,6 +50,7 @@ class StarPartition:
             if union & p:
                 raise ValueError("parts must be disjoint")
             union |= p
+        return super().__new__(cls, c, i, j, k)
 
     def validate_for(self, n: int) -> None:
         if (self.c | self.i | self.j | self.k) != (1 << n) - 1:
@@ -78,19 +75,16 @@ class StarPartition:
         return p
 
 
-@dataclass(frozen=True)
-class BlockSpaces:
-    w_i: frozenset[int]
-    w_j: frozenset[int]
-    w_k: frozenset[int]
+# the column spaces W_I, W_J, W_K, each the frozenset of its members
+BlockSpaces = namedtuple("BlockSpaces", "w_i w_j w_k")
 
 
-@dataclass(frozen=True)
-class StarClassification:
-    nontrivial_intersection: bool
-    distributive: bool
-    case: int
-    predicted: MmiOutcome | None  # None means undetermined (case 4)
+class StarClassification(
+    namedtuple("StarClassification", "nontrivial_intersection distributive case predicted")
+):
+    """`predicted` is an MmiOutcome, or None for undetermined (case 4)."""
+
+    __slots__ = ()
 
     def to_json(self, p: StarPartition, outcome: MmiOutcome) -> str:
         def bits(mask: int) -> list[int]:

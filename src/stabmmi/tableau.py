@@ -7,7 +7,7 @@ functions take 1-based qubit indices and return new tableaux.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .gf2 import BitMatrix, rank
 
@@ -27,29 +27,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tableau:
-    n: int
-    x: BitMatrix
-    z: BitMatrix
+class Tableau(namedtuple("Tableau", "n x z")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __new__(cls, n: int, x: BitMatrix, z: BitMatrix) -> Tableau:
         if n < 1:
             raise ValueError("tableau needs at least one qubit")
-        if self.x.nrows != n or self.z.nrows != n or self.x.cols != n or self.z.cols != n:
+        if x.nrows != n or z.nrows != n or x.cols != n or z.cols != n:
             raise ValueError("x and z must be n×n")
-        combined = BitMatrix(
-            tuple(xr | (zr << n) for xr, zr in zip(self.x.rows, self.z.rows)), 2 * n
-        )
+        combined = BitMatrix(tuple(xr | (zr << n) for xr, zr in zip(x.rows, z.rows)), 2 * n)
         if rank(combined) != n:
             raise ValueError("generators are not independent")
         for i in range(n):
             for j in range(i + 1, n):
-                sym = bin(self.x.rows[i] & self.z.rows[j]).count("1")
-                sym += bin(self.z.rows[i] & self.x.rows[j]).count("1")
+                sym = bin(x.rows[i] & z.rows[j]).count("1")
+                sym += bin(z.rows[i] & x.rows[j]).count("1")
                 if sym & 1:
                     raise ValueError(f"generators {i} and {j} anticommute")
+        return super().__new__(cls, n, x, z)
 
 
 def zero_state(n: int) -> Tableau:
