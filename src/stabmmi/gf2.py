@@ -26,19 +26,6 @@ class BitMatrix(namedtuple("BitMatrix", "rows cols")):
         return super().__new__(cls, rows, cols)
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]], cols: int | None = None) -> "BitMatrix":
-        packed = []
-        width = cols
-        for row in rows:
-            bits = list(row)
-            if width is None:
-                width = len(bits)
-            elif len(bits) != width:
-                raise ValueError("ragged rows")
-            packed.append(sum(1 << i for i, b in enumerate(bits) if b & 1))
-        return BitMatrix(tuple(packed), width or 0)
-
-    @staticmethod
     def zero(rows: int, cols: int) -> "BitMatrix":
         return BitMatrix((0,) * rows, cols)
 
@@ -49,11 +36,6 @@ class BitMatrix(namedtuple("BitMatrix", "rows cols")):
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def get(self, i: int, j: int) -> int:
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        return (self.rows[i] >> j) & 1
 
 
 def transpose(m: BitMatrix) -> BitMatrix:
@@ -103,25 +85,12 @@ class Subspace(namedtuple("Subspace", "ambient basis")):
         return super().__new__(cls, ambient, rref(basis)[0])
 
     @staticmethod
-    def zero(ambient: int) -> "Subspace":
-        return Subspace(ambient, BitMatrix((), ambient))
-
-    @staticmethod
     def span(ambient: int, vectors: Iterable[int]) -> "Subspace":
         return Subspace(ambient, BitMatrix(tuple(vectors), ambient))
 
     @property
     def dim(self) -> int:
         return self.basis.nrows
-
-    def contains(self, v: int) -> bool:
-        if v >> self.ambient:
-            raise ValueError("vector outside ambient space")
-        for row in self.basis.rows:
-            low = row & -row  # pivot bit (lowest set bit of an RREF row)
-            if v & low:
-                v ^= row
-        return v == 0
 
     def elements(self) -> Iterator[int]:
         """All 2^dim member vectors (small spaces only)."""
@@ -131,12 +100,6 @@ class Subspace(namedtuple("Subspace", "ambient basis")):
                 if (mask >> i) & 1:
                     v ^= row
             yield v
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return sum_spaces(self, other)
-
-    def __and__(self, other: "Subspace") -> "Subspace":
-        return intersect(self, other)
 
 
 def column_space(m: BitMatrix) -> Subspace:

@@ -1,6 +1,7 @@
 """Simple graphs for graph states: adjacency bitmasks, local complementation,
 LC orbits, bipartition submatrices, adjacency-rank entropies, induced
-four-star detection, and graph6 / JSON edge-list I/O.  The three MMI
+four-star detection, graph6 I/O, and the JSON edge-list writer (the CLI's
+`load_source` reads JSON graphs).  The three MMI
 outcomes and the census size caps live here too, so that `entropy`, `star`
 and the CLI can use them without numpy.
 
@@ -33,7 +34,6 @@ __all__ = [
     "to_graph6",
     "from_graph6",
     "to_json",
-    "from_json",
     "json_order",
 ]
 
@@ -93,9 +93,6 @@ class Graph(namedtuple("Graph", "n adj")):
                 if (self.adj[v] >> w) & 1:
                     out.append((v + 1, w + 1))
         return out
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u - 1] >> (v - 1)) & 1)
 
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -233,11 +230,6 @@ def json_order(data) -> int:
     if type(n) is not int:  # bool is an int subclass
         raise ValueError(f"'n' must be an integer, got {n!r}")
     return n
-
-
-def from_json(text: str) -> Graph:
-    data = json.loads(text)
-    return from_edges(json_order(data), [tuple(e) for e in data["edges"]])
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:

@@ -87,16 +87,11 @@ class StarClassification(
     __slots__ = ()
 
     def to_json(self, p: StarPartition, outcome: MmiOutcome) -> str:
-        def bits(mask: int) -> list[int]:
-            return [v + 1 for v in range(mask.bit_length()) if (mask >> v) & 1]
-
         return json.dumps(
             {
                 "partition": {
-                    "C": bits(p.c),
-                    "I": bits(p.i),
-                    "J": bits(p.j),
-                    "K": bits(p.k),
+                    name: [v + 1 for v in _bits(mask)]
+                    for name, mask in zip("CIJK", (p.c, p.i, p.j, p.k))
                 },
                 "case": self.case,
                 "distributive": self.distributive,
@@ -146,16 +141,12 @@ def _dim(w: frozenset[int]) -> int:
     return len(w).bit_length() - 1
 
 
-def _spans(g: Graph, p: StarPartition) -> BlockSpaces:
-    return BlockSpaces(
-        *(_span(g.adj[u] & p.c for u in _bits(block)) for block in (p.i, p.j, p.k))
-    )
-
-
 def block_spaces(g: Graph, p: StarPartition) -> BlockSpaces:
     if not is_generalized_star(g, p):
         raise ValueError("partition is not a generalized star")
-    return _spans(g, p)
+    return BlockSpaces(
+        *(_span(g.adj[u] & p.c for u in _bits(block)) for block in (p.i, p.j, p.k))
+    )
 
 
 def _cij_dims(w: BlockSpaces) -> tuple[int, int]:

@@ -23,7 +23,6 @@ __all__ = [
     "rank_vector",
     "from_graph",
     "parse_tableau",
-    "format_tableau",
 ]
 
 
@@ -49,8 +48,6 @@ class Tableau(namedtuple("Tableau", "n x z")):
 
 def zero_state(n: int) -> Tableau:
     """|0...0> stabilized by <Z_1, ..., Z_n>."""
-    if n < 1:
-        raise ValueError("n must be positive")
     return Tableau(n, BitMatrix.zero(n, n), BitMatrix.identity(n))
 
 
@@ -130,16 +127,6 @@ def from_graph(g) -> Tableau:
     """Graph-state tableau: X = identity, Z = adjacency matrix."""
     n = g.n
     return Tableau(n, BitMatrix.identity(n), BitMatrix(tuple(g.adj), n))
-
-
-def format_tableau(t: Tableau) -> str:
-    """n lines of 2n '0'/'1' characters: X block then Z block."""
-    lines = []
-    for xr, zr in zip(t.x.rows, t.z.rows):
-        xs = "".join(str((xr >> j) & 1) for j in range(t.n))
-        zs = "".join(str((zr >> j) & 1) for j in range(t.n))
-        lines.append(xs + zs)
-    return "\n".join(lines)
 
 
 def parse_tableau(text: str) -> Tableau:

@@ -131,6 +131,6 @@ def test_value_type_validation(make, message):
 def test_value_type_construction_normalizes():
     inst = MmiInstance(4, 1, 2)
     assert (inst.i, inst.j, inst.k) == (1, 2, 4)
-    assert Subspace(3) == Subspace.zero(3) == Subspace(3, BitMatrix((0, 0), 3))
+    assert Subspace(3) == Subspace(3, BitMatrix((0, 0), 3))
     assert Subspace(3).dim == 0 and Subspace(3).basis == BitMatrix((), 3)
     assert Subspace(2, BitMatrix((3, 1), 2)).basis.rows == (1, 2)  # reduced to RREF

@@ -11,7 +11,7 @@ import pytest
 from stabmmi import census, cli
 from stabmmi import entropy as entmod
 from stabmmi import tableau as tabmod
-from stabmmi.graphs import from_edges, to_graph6, to_json
+from stabmmi.graphs import CapExceeded, from_edges, to_graph6, to_json
 
 from oracles import brute_canonical
 
@@ -394,6 +394,24 @@ def test_declared_size_is_checked_before_the_graph_is_built(run, tmp_path, comma
     assert time.perf_counter() - start < 2
     assert (code, out) == (3, "")
     assert err.startswith("cap exceeded:")
+
+
+def test_load_source_caps_a_graph6_graph(tmp_path):
+    """The loader, not each command, checks the qubit cap of every input."""
+    with pytest.raises(CapExceeded, match="got 9$"):
+        cli.load_source(write_ring(tmp_path, 9))
+
+
+def test_load_source_decodes_a_json_graph_once(tmp_path, monkeypatch):
+    decode, calls = json.loads, []
+
+    def loads(text, *args, **kwargs):
+        calls.append(text)
+        return decode(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", loads)
+    assert cli.load_source(write_star4(tmp_path)) == from_edges(4, [(1, 2), (1, 3), (1, 4)])
+    assert len(calls) == 1
 
 
 def test_per_state_cap_from_gate_indices(run, tmp_path):

@@ -3,13 +3,13 @@ from itertools import combinations
 
 import pytest
 
+from stabmmi import cli
 from stabmmi.gf2 import rank, transpose
 from stabmmi.graphs import (
     Graph,
     entropy,
     from_edges,
     from_graph6,
-    from_json,
     induced_four_stars,
     lc_orbit,
     local_complement,
@@ -168,6 +168,9 @@ def test_graph6_malformed():
         from_graph6("C")  # truncated body
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
+    """to_json writes what the CLI's loader, the one JSON-graph reader, reads back."""
     g = k4112()
-    assert from_json(to_json(g)) == g
+    path = tmp_path / "g.json"
+    path.write_text(to_json(g))
+    assert cli.load_source(str(path)) == g

@@ -11,7 +11,6 @@ from stabmmi.tableau import (
     apply_h,
     apply_s,
     entropy,
-    format_tableau,
     from_graph,
     parse_tableau,
     project,
@@ -214,6 +213,11 @@ def test_text_round_trip():
     rng = random.Random(26)
     for _ in range(20):
         t = random_tableau(rng, 4)
-        assert parse_tableau(format_tableau(t)) == t
+        # n lines of 2n '0'/'1' characters: X block then Z block
+        text = "\n".join(
+            "".join(str((row >> j) & 1) for row in (xr, zr) for j in range(4))
+            for xr, zr in zip(t.x.rows, t.z.rows)
+        )
+        assert parse_tableau(text) == t
     with pytest.raises(ValueError):
         parse_tableau("01\n10")
