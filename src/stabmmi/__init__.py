@@ -4,7 +4,7 @@ analysis for stabilizer and graph states over GF(2).
 Submodules:
     gf2      — bit-packed GF(2) matrices and subspace lattice operations
     tableau  — stabilizer tableaux, Clifford updates, rank entropies
-    graphs   — graph states, local complementation, LC orbits, graph6 I/O
+    graphs   — graph states, local complementation, graph6 I/O
     entropy  — one state's entropy vector, canonical form, MMI instances, signs, tally
     star     — generalized-star partitions and column-space classification
     census   — exhaustive graph/group censuses and conjecture scans, with the

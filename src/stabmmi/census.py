@@ -153,14 +153,14 @@ def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _mmi_table(n: int, include_full_union: bool) -> np.ndarray:
+def _mmi_table(n: int) -> np.ndarray:
     """`entropy.mmi_table` as an index array; read-only."""
-    table = np.array(mmi_table(n, include_full_union), dtype=np.intp).reshape(-1, 7)
+    table = np.array(mmi_table(n, True), dtype=np.intp).reshape(-1, 7)
     table.flags.writeable = False
     return table
 
 
-def mmi_signs(values, include_full_union: bool = True) -> np.ndarray:
+def mmi_signs(values) -> np.ndarray:
     """Sign of S_IJ + S_IK + S_JK − (S_I + S_J + S_K + S_IJK) for every MMI
     instance, in `mmi_instances` order: 1 satisfies, 0 saturates, −1 fails.
 
@@ -168,7 +168,7 @@ def mmi_signs(values, include_full_union: bool = True) -> np.ndarray:
     axis (one vector: `ev.values`); the result has shape (..., instances).
     The gather is int8: entropies are at most n/2, so sums of four fit."""
     padded = np.insert(np.asarray(values, dtype=np.int8), 0, 0, axis=-1)
-    s = padded[..., _mmi_table(padded.shape[-1].bit_length() - 1, include_full_union)]
+    s = padded[..., _mmi_table(padded.shape[-1].bit_length() - 1)]
     return np.sign(s[..., :3].sum(axis=-1, dtype=np.int8) - s[..., 3:].sum(axis=-1, dtype=np.int8))
 
 

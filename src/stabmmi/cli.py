@@ -84,10 +84,10 @@ def load_source(path: str, fmt: str | None = None):
                 rows = data["tableau"]
                 if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
                     raise ParseError(f"{path}: 'tableau' must be a list of row strings")
-                return _parse_tableau("\n".join(rows))
+                return _parse_tableau(rows)
             raise ParseError(f"{path}: JSON needs an 'edges' or 'tableau' key")
         if suffix == "txt":
-            return _parse_tableau(text)
+            return _parse_tableau([ln.strip() for ln in text.splitlines() if ln.strip()])
     except (ParseError, graphmod.CapExceeded):
         raise
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -95,13 +95,12 @@ def load_source(path: str, fmt: str | None = None):
     raise UsageError(f"cannot infer format of {path}; pass --format g6|json|txt")
 
 
-def _parse_tableau(text: str):
+def _parse_tableau(rows: list[str]):
     """parse_tableau, once its row count (the qubit count) is within the cap:
     parsing and checking a tableau costs O(n²) or more."""
-    rows = sum(1 for ln in text.splitlines() if ln.strip())
     if rows:  # no rows at all is a parse error
-        _check_qubits(rows)
-    return tabmod.parse_tableau(text)
+        _check_qubits(len(rows))
+    return tabmod.parse_tableau(rows)
 
 
 def _check_qubits(n: int) -> None:
@@ -223,9 +222,7 @@ def cmd_classify(args) -> int:
         if p is None:
             print(json.dumps({"result": "no qualifying partition"}))
             return EXIT_OK
-    cls = starmod.classify(g, p)
-    outcome = starmod.mmi_cij_colspace(g, p)
-    print(cls.to_json(p, outcome))
+    print(starmod.classify(g, p).to_json(p))
     return EXIT_OK
 
 
@@ -299,9 +296,8 @@ def cmd_census(args) -> int:
         return EXIT_OK
     if args.scan_four_star is not None:
         report = censusmod.four_star_conjecture_scan(args.scan_four_star)
-        _write(args.output, json.dumps(report, sort_keys=True, indent=1) + "\n")
-        return EXIT_OK
-    report = censusmod.nontrivial_intersection_scan(args.scan_intersection)
+    else:
+        report = censusmod.nontrivial_intersection_scan(args.scan_intersection)
     _write(args.output, json.dumps(report, sort_keys=True, indent=1) + "\n")
     return EXIT_OK
 

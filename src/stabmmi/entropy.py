@@ -210,9 +210,9 @@ def mmi_table(n: int, include_full_union: bool) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def mmi_instances(n: int, include_full_union: bool = True) -> list[MmiInstance]:
+def mmi_instances(n: int) -> list[MmiInstance]:
     """The MMI instances of `mmi_table`, in its order."""
-    return [MmiInstance(i, j, k) for _, _, _, i, j, k, _ in mmi_table(n, include_full_union)]
+    return [MmiInstance(i, j, k) for _, _, _, i, j, k, _ in mmi_table(n, True)]
 
 
 def evaluate_mmi(ev: EntropyVector, inst: MmiInstance) -> MmiOutcome:
@@ -241,5 +241,5 @@ def instance_signs(ev: EntropyVector, include_full_union: bool = True) -> list[i
     ]
 
 
-def mmi_tally(ev: EntropyVector, include_full_union: bool = True) -> MmiTally:
-    return MmiTally.of_signs(instance_signs(ev, include_full_union))
+def mmi_tally(ev: EntropyVector) -> MmiTally:
+    return MmiTally.of_signs(instance_signs(ev))

@@ -1,9 +1,8 @@
 """Simple graphs for graph states: adjacency bitmasks, local complementation,
-LC orbits, bipartition submatrices, adjacency-rank entropies, induced
-four-star detection, graph6 I/O, and the JSON edge-list writer (the CLI's
-`load_source` reads JSON graphs).  The three MMI
-outcomes and the census size caps live here too, so that `entropy`, `star`
-and the CLI can use them without numpy.
+bipartition submatrices, adjacency-rank entropies, induced four-star
+detection, graph6 I/O, and the JSON edge-list writer (the CLI's `load_source`
+reads JSON graphs).  The three MMI outcomes and the census size caps live
+here too, so that `entropy`, `star` and the CLI can use them without numpy.
 
 Vertices are 1-based in the public edge API; `adj[v]` is the neighborhood
 bitmask of vertex v+1 with bit w = vertex w+1.
@@ -12,7 +11,7 @@ bitmask of vertex v+1 with bit w = vertex w+1.
 from __future__ import annotations
 
 import json
-from collections import deque, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import combinations
@@ -27,7 +26,6 @@ __all__ = [
     "from_edges",
     "from_edge_mask",
     "local_complement",
-    "lc_orbit",
     "submatrix",
     "entropy",
     "induced_four_stars",
@@ -122,22 +120,6 @@ def local_complement(g: Graph, a: int) -> Graph:
         adj[i] ^= nb ^ low
         v ^= low
     return Graph(g.n, tuple(adj))
-
-
-def lc_orbit(g: Graph) -> set[Graph]:
-    """BFS closure under local complementation, deduped by labeled adjacency."""
-    seen = {g}
-    queue = deque([g])
-    while queue:
-        cur = queue.popleft()
-        for a in range(1, g.n + 1):
-            if cur.adj[a - 1] == 0:
-                continue
-            nxt = local_complement(cur, a)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
 
 
 def submatrix(g: Graph, a_mask: int) -> BitMatrix:

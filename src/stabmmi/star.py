@@ -80,13 +80,14 @@ BlockSpaces = namedtuple("BlockSpaces", "w_i w_j w_k")
 
 
 class StarClassification(
-    namedtuple("StarClassification", "nontrivial_intersection distributive case predicted")
+    namedtuple("StarClassification", "nontrivial_intersection distributive case predicted outcome")
 ):
-    """`predicted` is an MmiOutcome, or None for undetermined (case 4)."""
+    """`predicted` is the case's MmiOutcome, or None for undetermined (case
+    4); `outcome` is the MMI outcome over (C∪I, C∪J, rest) itself."""
 
     __slots__ = ()
 
-    def to_json(self, p: StarPartition, outcome: MmiOutcome) -> str:
+    def to_json(self, p: StarPartition) -> str:
         return json.dumps(
             {
                 "partition": {
@@ -96,7 +97,7 @@ class StarClassification(
                 "case": self.case,
                 "distributive": self.distributive,
                 "nontrivial_intersection": self.nontrivial_intersection,
-                "outcome": outcome.value,
+                "outcome": self.outcome.value,
             },
             sort_keys=True,
         )
@@ -166,24 +167,21 @@ _CASE_PREDICTION = {
 def classify(g: Graph, p: StarPartition) -> StarClassification:
     """W_I∩W_K + W_J∩W_K ⊆ (W_I+W_J)∩W_K: distributive when the dimensions
     agree.  rhs − (lhs − dim(W_I∩W_J∩W_K)) is symmetric in I, J, K, so one
-    test covers all three arrangements of the identity."""
+    test covers all three arrangements of the identity.  The same two
+    dimensions give the MMI outcome over (C∪I, C∪J, rest): lhs below / at /
+    above rhs means the inequality holds strictly / with equality / fails."""
     w = block_spaces(g, p)
     triple = w.w_i & w.w_j & w.w_k
     lhs, rhs = _cij_dims(w)
     nontrivial = len(triple) > 1
     dist = lhs - _dim(triple) == rhs
     case, predicted = _CASE_PREDICTION[(dist, nontrivial)]
-    return StarClassification(nontrivial, dist, case, predicted)
+    return StarClassification(nontrivial, dist, case, predicted, MmiOutcome.of_sign(rhs - lhs))
 
 
 def mmi_cij_colspace(g: Graph, p: StarPartition) -> MmiOutcome:
-    """MMI over (C∪I, C∪J, rest) from block column spaces alone.
-
-    dim(W_I∩W_K) + dim(W_J∩W_K) below / at / above dim((W_I+W_J)∩W_K)
-    means the inequality holds strictly / with equality / fails.
-    """
-    lhs, rhs = _cij_dims(block_spaces(g, p))
-    return MmiOutcome.of_sign(rhs - lhs)
+    """MMI over (C∪I, C∪J, rest) from block column spaces alone."""
+    return classify(g, p).outcome
 
 
 def entropies_from_blocks(g: Graph, p: StarPartition) -> dict[str, int]:

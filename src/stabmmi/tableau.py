@@ -129,13 +129,13 @@ def from_graph(g) -> Tableau:
     return Tableau(n, BitMatrix.identity(n), BitMatrix(tuple(g.adj), n))
 
 
-def parse_tableau(text: str) -> Tableau:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    n = len(lines)
+def parse_tableau(rows: list[str]) -> Tableau:
+    """One generator per row of 2n '0'/'1' characters: X bits, then Z bits."""
+    n = len(rows)
     if n == 0:
         raise ValueError("empty tableau text")
     x_rows, z_rows = [], []
-    for ln in lines:
+    for ln in rows:
         if len(ln) != 2 * n or set(ln) - {"0", "1"}:
             raise ValueError(f"expected {2*n} binary characters per line, got {ln!r}")
         x_rows.append(sum(1 << j for j in range(n) if ln[j] == "1"))

@@ -88,6 +88,10 @@ def build_corpus() -> None:
         files[f"ring{n}.g6"] = to_graph6(ring) + "\n"
     files["star8.g6"] = to_graph6(from_edges(8, [(1, v) for v in range(2, 9)])) + "\n"
     files["t-padded.txt"] = "  1000  \n\n0100\t\n"
+    # JSON rows are read one per element, as given: each of these exits 2
+    for name, rows in (("newline", ["1000\n0100"]), ("empty", ["1000", "", "0100"]),
+                       ("padded", [" 1000 ", "0100"])):
+        files[f"t-{name}-row.json"] = json.dumps({"tableau": rows}) + "\n"
     for name, text in files.items():
         (INPUTS / name).write_text(text)
     with tempfile.TemporaryDirectory() as tmp:
@@ -115,6 +119,9 @@ def cases() -> list[list[str]]:
         ["classify", "inputs/t4.txt"],
         ["entropy", "inputs/ring9.g6"],
         ["entropy", "inputs/t-padded.txt"],
+        ["entropy", "inputs/t-newline-row.json"],
+        ["entropy", "inputs/t-empty-row.json"],
+        ["entropy", "inputs/t-padded-row.json"],
         ["circuit", "inputs/gates-ghz.txt"],
         ["circuit", "inputs/gates-mixed.txt", "-n", "6"],
         ["circuit", "inputs/gates-ghz.txt", "-n", "3"],

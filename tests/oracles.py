@@ -139,7 +139,8 @@ def mmi_instance_count(n: int, include_full_union: bool) -> int:
 
 
 def dfs_lc_closure(adj: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
-    """Depth-first closure under local complementation (oracle for lc_orbit)."""
+    """Depth-first closure under local complementation (oracle for the census's
+    LC orbit labels)."""
 
     def complement_at(a_rows: tuple[int, ...], a: int) -> tuple[int, ...]:
         nb = a_rows[a]

@@ -86,9 +86,10 @@ VALUES = {
         "BlockSpaces(w_i=frozenset({0}), w_j=frozenset({0, 1}), w_k=frozenset({0}))",
     ),
     "StarClassification": (
-        lambda: StarClassification(False, True, 2, MmiOutcome.SATURATES),
+        lambda: StarClassification(False, True, 2, MmiOutcome.SATURATES, MmiOutcome.SATURATES),
         "StarClassification(nontrivial_intersection=False, distributive=True, case=2, "
-        "predicted=<MmiOutcome.SATURATES: 'Saturates'>)",
+        "predicted=<MmiOutcome.SATURATES: 'Saturates'>, "
+        "outcome=<MmiOutcome.SATURATES: 'Saturates'>)",
     ),
 }
 

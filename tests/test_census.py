@@ -14,7 +14,7 @@ from stabmmi.gf2 import BitMatrix, rref
 from stabmmi.graphs import CapExceeded, from_edges
 from stabmmi.star import find_star_partition
 
-from oracles import brute_canonical, brute_lagrangians, edge_mask_adjacency
+from oracles import brute_canonical, brute_lagrangians, dfs_lc_closure, edge_mask_adjacency
 from oracles import per_graph_vector_counts, span_elements, table_canonical, union_find_least
 
 
@@ -330,10 +330,15 @@ def edge_mask(g) -> int:
     return sum(1 << b for b, (i, j) in enumerate(pairs) if g.adj[i] >> j & 1)
 
 
+def lc_orbit_masks(g) -> list[int]:
+    """The edge masks of g's LC orbit, by the depth-first closure oracle."""
+    return [edge_mask(graphmod.Graph(g.n, adj)) for adj in dfs_lc_closure(g.adj, g.n)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_orbit_labels_are_least_lc_orbit_masks(n):
     """Each graph's label is the least edge mask in its LC orbit, as found by
-    breadth-first search: every labeled graph for n ≤ 5, seeded samples at
+    depth-first search: every labeled graph for n ≤ 5, seeded samples at
     n = 6 and 7.  The roots are the distinct labels, ascending, and the
     adjacency columns are the graph rows."""
     cols, label, roots, rows = C._lc_orbits(n)
@@ -344,7 +349,7 @@ def test_orbit_labels_are_least_lc_orbit_masks(n):
     least: dict[int, int] = {}  # one search per orbit
     for m in masks:
         if m not in least:
-            orbit = list(map(edge_mask, graphmod.lc_orbit(graphmod.from_edge_mask(n, m))))
+            orbit = lc_orbit_masks(graphmod.from_edge_mask(n, m))
             least.update(dict.fromkeys(orbit, min(orbit)))
         assert label[m] == least[m]
         assert tuple(cols[:, m].tolist()) == graphmod.from_edge_mask(n, m).adj
@@ -392,7 +397,7 @@ def test_four_star_scan_small():
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_four_star_witness_is_least_orbit_mask_with_a_four_star(n):
-    """Every witness lies in the breadth-first LC orbit of its vector's
+    """Every witness lies in the depth-first LC orbit of its vector's
     representative, has an induced four-star, and is the least such edge
     mask; `orbit_searched` is its rank among the orbit's masks.  Every
     failing vector at n = 4, 5, a seeded sample at n = 6."""
@@ -403,7 +408,7 @@ def test_four_star_witness_is_least_orbit_mask_with_a_four_star(n):
         records = random.Random(76).sample(records, 25)
     for rec in records:
         rep = graphmod.from_graph6(rec["representative"])
-        orbit = sorted(map(edge_mask, graphmod.lc_orbit(rep)))
+        orbit = sorted(lc_orbit_masks(rep))
         hits = [
             m for m in orbit if list(graphmod.induced_four_stars(graphmod.from_edge_mask(n, m)))
         ]

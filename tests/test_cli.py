@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -200,6 +201,25 @@ def test_classify_explicit_partition(run, tmp_path):
     assert record["outcome"] == "Fails"
 
 
+def test_classify_spans_each_block_once(run, tmp_path, monkeypatch):
+    """One classify call gives the case and the outcome: the block column
+    spaces are spanned once, not once per answer."""
+    from stabmmi import star
+
+    calls = []
+
+    def counted(g, p):
+        calls.append(p)
+        return block_spaces(g, p)
+
+    block_spaces = star.block_spaces
+    monkeypatch.setattr(star, "block_spaces", counted)
+    partition = '{"C":[1],"I":[2],"J":[3],"K":[4]}'
+    code, out, _ = run("classify", write_star4(tmp_path), "--partition", partition)
+    assert (code, json.loads(out)["outcome"]) == (0, "Fails")
+    assert len(calls) == 1
+
+
 def test_classify_auto_no_partition(run, tmp_path):
     p = tmp_path / "path5.json"
     p.write_text(json.dumps({"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]}))
@@ -284,13 +304,23 @@ def write_ring(tmp_path, n):
     ids=["entropy", "mmi", "classify", "circuit-n"],
 )
 def test_per_state_cap(run, tmp_path, argv):
-    """A 20-qubit input exits 3 up front instead of running for hours."""
+    """A 20-qubit input exits 3 up front instead of running for hours: an
+    alarm stops the command after 5 s, so a lost cap check fails the test
+    instead of hanging it."""
     script = tmp_path / "h.txt"
     script.write_text("H 1\n")
     target = str(script) if argv[0] == "circuit" else write_ring(tmp_path, 20)
-    start = time.perf_counter()
-    code, out, err = run(argv[0], target, *argv[1:])
-    assert time.perf_counter() - start < 5
+
+    def timeout(signum, frame):
+        raise TimeoutError("no exit within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        code, out, err = run(argv[0], target, *argv[1:])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code == 3
     assert out == ""
     assert err.startswith("cap exceeded:")
@@ -341,12 +371,20 @@ def test_json_vertex_ids_must_be_integers(run, tmp_path, graph, partition):
 
 @pytest.mark.parametrize(
     "tableau",
-    ["100010001", {"1001": 0, "0110": 0}],
-    ids=["string", "object"],
+    [
+        "100010001",
+        {"1001": 0, "0110": 0},
+        ["1000\n0100"],
+        ["1000", "", "0100"],
+        [" 1000 ", "0100"],
+    ],
+    ids=["string", "object", "newline-row", "empty-row", "padded-row"],
 )
 def test_json_tableau_must_be_a_list_of_strings(run, tmp_path, tableau):
     """A string was split into one-character rows (9 qubits, exit 3), and an
-    object's keys were read as rows (exit 0)."""
+    object's keys were read as rows (exit 0).  Each list element is one row
+    of 2n binary characters: the rows were joined with newlines and split
+    again, so the last three ran as a 2-qubit tableau and exited 0."""
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"tableau": tableau}))
     code, out, err = run("entropy", str(path))
@@ -374,7 +412,7 @@ def test_tableau_size_is_checked_before_it_is_parsed(run, tmp_path, monkeypatch,
     path = tmp_path / name
     path.write_text(json.dumps({"tableau": lines}) if name.endswith("json") else "\n".join(lines))
 
-    def fail(text):
+    def fail(rows):
         raise AssertionError("parsed before the size check")
 
     monkeypatch.setattr(tabmod, "parse_tableau", fail)

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import compress, permutations
 
 import numpy as np
 import pytest
@@ -14,7 +14,9 @@ from stabmmi.entropy import (
     canonicalize,
     entropy_vector,
     evaluate_mmi,
+    instance_signs,
     mmi_instances,
+    mmi_table,
     mmi_tally,
 )
 from stabmmi.graphs import from_edges
@@ -56,12 +58,13 @@ def test_instance_counts():
     assert len(mmi_instances(3)) == 1
     assert len(mmi_instances(4)) == 10
     assert len(mmi_instances(5)) == 65
-    assert len(mmi_instances(5, include_full_union=False)) == 40
+    assert len(mmi_table(5, False)) == 40
     assert len(mmi_instances(8)) == 7770
     assert mmi_instances(2) == []
     for n in range(1, 9):
+        assert len(mmi_instances(n)) == mmi_instance_count(n, True)
         for flag in (True, False):
-            assert len(mmi_instances(n, flag)) == mmi_instance_count(n, flag)
+            assert len(mmi_table(n, flag)) == mmi_instance_count(n, flag)
 
 
 def test_instances_are_unique_and_disjoint():
@@ -128,29 +131,30 @@ def test_tally_sums():
     for _ in range(10):
         n = rng.randint(3, 6)
         ev = entropy_vector(random_tableau(rng, n))
-        for flag in (True, False):
-            tally = mmi_tally(ev, flag)
-            assert sum(tally.as_triple()) == len(mmi_instances(n, flag))
+        assert sum(mmi_tally(ev).as_triple()) == len(mmi_instances(n))
+        assert len(instance_signs(ev, False)) == len(mmi_table(n, False))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_vectorised_tally_matches_evaluate_mmi(n):
     """mmi_signs and mmi_tally agree with the per-instance evaluate_mmi; on
     stacked uint8 value rows, as the censuses pass them, each row of signs is
-    that of its vector alone."""
+    that of its vector alone.  Without the full union, instance_signs keeps
+    the signs of the instances that leave a qubit out."""
     rng = random.Random(46 + n)
     evs = [entropy_vector(random_tableau(rng, n)) for _ in range(4)]
-    for flag in (True, False):
-        instances = mmi_instances(n, flag)
-        stacked = mmi_signs(np.array([ev.values for ev in evs], dtype=np.uint8), flag)
-        assert stacked.shape == (len(evs), len(instances))
-        for ev, row in zip(evs, stacked.tolist()):
-            outcomes = [evaluate_mmi(ev, inst) for inst in instances]
-            signs = mmi_signs(ev.values, flag).tolist()
-            assert [MmiOutcome.of_sign(s) for s in signs] == outcomes
-            assert row == signs
-            counts = Counter(outcomes)
-            assert mmi_tally(ev, flag).as_triple() == tuple(counts[o] for o in MmiOutcome)
+    instances = mmi_instances(n)
+    partial = [inst.i | inst.j | inst.k != (1 << n) - 1 for inst in instances]
+    stacked = mmi_signs(np.array([ev.values for ev in evs], dtype=np.uint8))
+    assert stacked.shape == (len(evs), len(instances))
+    for ev, row in zip(evs, stacked.tolist()):
+        outcomes = [evaluate_mmi(ev, inst) for inst in instances]
+        signs = mmi_signs(ev.values).tolist()
+        assert [MmiOutcome.of_sign(s) for s in signs] == outcomes
+        assert row == signs
+        counts = Counter(outcomes)
+        assert mmi_tally(ev).as_triple() == tuple(counts[o] for o in MmiOutcome)
+        assert instance_signs(ev, False) == list(compress(signs, partial))
 
 
 def test_canonicalize_idempotent():

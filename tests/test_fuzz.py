@@ -42,7 +42,14 @@ def shaped(required=(), optional=()):
 
 record = shaped(["class_id", "canonical_vector", "satisfies", "saturates", "fails",
                  "state_count"], ["representative_graph6"])
-source_json = shaped(optional=["n", "edges", "tableau"]) | json_values
+# row strings for a JSON tableau, some of them empty or holding a newline
+tableau_rows = st.lists(st.text(alphabet="01\n ", max_size=9), max_size=4)
+source_json = (
+    st.fixed_dictionaries(
+        {}, optional={"n": json_values, "edges": json_values, "tableau": tableau_rows | json_values}
+    )
+    | json_values
+)
 partition_json = shaped(optional="CIJK") | json_values
 census_json = (
     st.fixed_dictionaries({"classes": st.lists(record | json_values, max_size=3)},
@@ -80,6 +87,16 @@ def write(path, data):
 )
 def test_source_inputs(tmp_path, command, suffix, data):
     assert exit_code([command, write(tmp_path / f"in.{suffix}", data)]) in (0, 2, 3)
+
+
+@FUZZ
+@given(rows=tableau_rows)
+def test_json_tableau_rows(tmp_path, rows):
+    """A JSON tableau runs only if each list element is one row of 2n binary
+    characters, n the number of elements."""
+    code = exit_code(["entropy", write(tmp_path / "t.json", json.dumps({"tableau": rows}))])
+    if not rows or any(len(r) != 2 * len(rows) or set(r) - {"0", "1"} for r in rows):
+        assert code == 2
 
 
 @FUZZ

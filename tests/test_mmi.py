@@ -5,7 +5,7 @@ batch kernel and MMI-sign gather of `census`, the per-instance
 
 import random
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 import numpy as np
 import pytest
@@ -57,14 +57,17 @@ def test_entropy_vector_matches_oracles_on_seeded_tableaux(n):
 @pytest.mark.parametrize("include_full_union", [True, False])
 def test_instance_signs_match_evaluate_mmi_and_mmi_signs(n, include_full_union):
     """The one-vector signs, the per-instance outcomes and the numpy gather
-    agree, and the numpy gather reads the same mask table."""
+    agree, and the numpy gather reads the same mask table; without the full
+    union, the instances and signs are those that leave a qubit out."""
     rng = random.Random(80 + n)
     sources = [random_graph(rng, n) for _ in range(6)]
     if n > 1:
         sources += [random_tableau(rng, n) for _ in range(6)]
+    full_table = entmod.mmi_table(n, True)
+    assert census._mmi_table(n).tolist() == [list(row) for row in full_table]
+    kept = [include_full_union or row[6] != (1 << n) - 1 for row in full_table]
     table = entmod.mmi_table(n, include_full_union)
-    assert census._mmi_table(n, include_full_union).tolist() == [list(row) for row in table]
-    instances = entmod.mmi_instances(n, include_full_union)
+    instances = list(compress(entmod.mmi_instances(n), kept))
     assert [(t.i, t.j, t.k) for t in instances] == [row[3:6] for row in table]
     if n < 3:
         assert table == ()
@@ -74,9 +77,10 @@ def test_instance_signs_match_evaluate_mmi_and_mmi_signs(n, include_full_union):
         assert [MmiOutcome.of_sign(s) for s in signs] == [
             entmod.evaluate_mmi(ev, inst) for inst in instances
         ]
-        assert signs == census.mmi_signs(ev.values, include_full_union).tolist()
-        tally = entmod.mmi_tally(ev, include_full_union)
-        assert tally.as_triple() == (signs.count(1), signs.count(0), signs.count(-1))
+        all_signs = census.mmi_signs(ev.values).tolist()
+        assert signs == list(compress(all_signs, kept))
+        tally = entmod.mmi_tally(ev)
+        assert tally.as_triple() == (all_signs.count(1), all_signs.count(0), all_signs.count(-1))
 
 
 def test_mmi_table_rows_are_the_sorted_instance_masks():

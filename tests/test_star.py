@@ -301,10 +301,14 @@ def _random_graph(rng, n):
 
 def test_classification_json_record():
     g, p = k4_star_partition()
-    record = json.loads(classify(g, p).to_json(p, mmi_cij_colspace(g, p)))
+    record = json.loads(classify(g, p).to_json(p))
     assert record["partition"] == {"C": [1], "I": [2], "J": [3], "K": [4]}
     assert record["case"] == 3
     assert record["outcome"] == "Fails"
+    # case 4 predicts nothing; the record still carries the outcome
+    for fixture in (CASE4_SATURATES, CASE4_FAILS, CASE4_SATISFIES):
+        g, p = build(fixture)
+        assert json.loads(classify(g, p).to_json(p))["outcome"] == mmi_cij_colspace(g, p).value
 
 
 @functools.lru_cache(maxsize=None)

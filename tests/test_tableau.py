@@ -213,11 +213,12 @@ def test_text_round_trip():
     rng = random.Random(26)
     for _ in range(20):
         t = random_tableau(rng, 4)
-        # n lines of 2n '0'/'1' characters: X block then Z block
-        text = "\n".join(
+        # n rows of 2n '0'/'1' characters: X block then Z block
+        rows = [
             "".join(str((row >> j) & 1) for row in (xr, zr) for j in range(4))
             for xr, zr in zip(t.x.rows, t.z.rows)
-        )
-        assert parse_tableau(text) == t
-    with pytest.raises(ValueError):
-        parse_tableau("01\n10")
+        ]
+        assert parse_tableau(rows) == t
+    for bad in (["01", "10"], ["1000\n0100"], ["1000", "", "0100"], [" 1000 ", "0100"], []):
+        with pytest.raises(ValueError):
+            parse_tableau(bad)
