@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from stabmmi import census, cli
+from stabmmi import census, cli, star
 from stabmmi import entropy as entmod
 from stabmmi import tableau as tabmod
 from stabmmi.graphs import CapExceeded, from_edges, to_graph6, to_json
@@ -204,8 +204,6 @@ def test_classify_explicit_partition(run, tmp_path):
 def test_classify_spans_each_block_once(run, tmp_path, monkeypatch):
     """One classify call gives the case and the outcome: the block column
     spaces are spanned once, not once per answer."""
-    from stabmmi import star
-
     calls = []
 
     def counted(g, p):
