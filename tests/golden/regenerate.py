@@ -4,8 +4,10 @@ Each case is one argv.  `record` runs it in-process through `cli.main`, in a
 working directory that holds the corpus as `inputs/`, and returns its exit
 code, the sha256 of its stdout and stderr (with the text itself when it is
 short, so that a failure shows a diff) and the sha256 of every file it
-wrote.  `tests/test_golden.py` compares each case with its `manifest.json`
-entry.
+wrote.  The at-cap census runs (`AT_CAP`) run instead in a subprocess that
+is killed after a set number of seconds, so that a slowdown fails the case
+instead of hanging it.  `tests/test_golden.py` compares each case with its
+`manifest.json` entry.
 
 Run from the repository root:
 
@@ -23,6 +25,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -45,6 +48,18 @@ STARS = {
     "case2": (6, [(1, 5), (2, 3)], ([3], [6], [2, 4], [1, 5])),
     "case3": (6, [(1, 4), (1, 6), (2, 6), (3, 4), (4, 5)], ([4, 6], [3], [5], [1, 2])),
 }
+
+# every census mode at its cap, with the seconds its subprocess may take
+# (each ends in under 3 s on 2 CPUs); `--scan-intersection 7` takes minutes
+AT_CAP = {
+    ("census", "--table14", "6"): 30,
+    ("census", "--classes", "6"): 30,
+    ("census", "--classes", "7", "--source", "graphs"): 30,
+    ("census", "--scan-four-star", "7"): 30,
+}
+
+# JSON graphs whose "n" is not a qubit count the per-state commands take
+BAD_ORDERS = {"float": "3.5", "string": '"3"', "bool": "true", "zero": "0", "nine": "9"}
 
 GATE_SCRIPTS = {
     "gates-ghz.txt": "# GHZ on four qubits\nH 1\nCNOT 1 2\nCNOT 2 3\nCNOT 3 4\n",
@@ -88,6 +103,9 @@ def build_corpus() -> None:
         files[f"ring{n}.g6"] = to_graph6(ring) + "\n"
     files["star8.g6"] = to_graph6(from_edges(8, [(1, v) for v in range(2, 9)])) + "\n"
     files["t-padded.txt"] = "  1000  \n\n0100\t\n"
+    for name, n in BAD_ORDERS.items():
+        files[f"n-{name}.json"] = f'{{"n": {n}, "edges": []}}\n'
+    files["n-missing.json"] = '{"edges": []}\n'
     # JSON rows are read one per element, as given: each of these exits 2
     for name, rows in (("newline", ["1000\n0100"]), ("empty", ["1000", "", "0100"]),
                        ("padded", [" 1000 ", "0100"])):
@@ -122,6 +140,7 @@ def cases() -> list[list[str]]:
         ["entropy", "inputs/t-newline-row.json"],
         ["entropy", "inputs/t-empty-row.json"],
         ["entropy", "inputs/t-padded-row.json"],
+        *(["entropy", f"inputs/n-{name}.json"] for name in [*BAD_ORDERS, "missing"]),
         ["circuit", "inputs/gates-ghz.txt"],
         ["circuit", "inputs/gates-mixed.txt", "-n", "6"],
         ["circuit", "inputs/gates-ghz.txt", "-n", "3"],
@@ -135,6 +154,10 @@ def cases() -> list[list[str]]:
             ["census", "--scan-intersection", str(n)],
         ]
     out += [
+        ["census", "--classes", "6", "--source", "graphs"],
+        ["census", "--scan-four-star", "6"],
+        ["census", "--scan-intersection", "6"],
+        *map(list, AT_CAP),
         ["census", "--table14", "0"],
         ["census", "--classes", "5", "--json"],
         ["census", "--classes", "5", "--source", "graphs", "--json", "-o", "classes.json"],
@@ -153,11 +176,7 @@ def _stream(name: str, text: str) -> dict:
     return entry
 
 
-def record(argv: list[str], workdir) -> dict:
-    """Run `stabmmi argv` in workdir, with the corpus linked there as
-    `inputs`; the outcome as a manifest entry."""
-    workdir = Path(workdir)
-    (workdir / "inputs").symlink_to(INPUTS, target_is_directory=True)
+def _run_in_process(argv: list[str], workdir: Path) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -166,6 +185,31 @@ def record(argv: list[str], workdir) -> dict:
             code = cli.main(list(argv))
     finally:
         os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_subprocess(argv: list[str], workdir: Path, timeout: float) -> tuple[int, str, str]:
+    """`python -m stabmmi argv`; subprocess.TimeoutExpired after `timeout` s."""
+    src = Path(cli.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "stabmmi", *argv], cwd=workdir, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, encoding="utf-8", errors="surrogateescape", timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def record(argv: list[str], workdir) -> dict:
+    """Run `stabmmi argv` in workdir, with the corpus linked there as
+    `inputs`; the outcome as a manifest entry.  An `AT_CAP` case runs in a
+    subprocess under its timeout, every other case in this process."""
+    workdir = Path(workdir)
+    (workdir / "inputs").symlink_to(INPUTS, target_is_directory=True)
+    timeout = AT_CAP.get(tuple(argv))
+    if timeout is None:
+        code, out, err = _run_in_process(argv, workdir)
+    else:
+        code, out, err = _run_subprocess(argv, workdir, timeout)
     files = {}
     for root, _, names in os.walk(workdir):  # does not enter the inputs link
         for name in names:
@@ -174,8 +218,8 @@ def record(argv: list[str], workdir) -> dict:
     return {
         "argv": list(argv),
         "exit": code,
-        **_stream("stdout", out.getvalue()),
-        **_stream("stderr", err.getvalue()),
+        **_stream("stdout", out),
+        **_stream("stderr", err),
         "files": dict(sorted(files.items())),
     }
 
