@@ -77,7 +77,9 @@ def load_source(path: str, fmt: str | None = None):
         if suffix == "json":
             data = _parse_json(text, path)
             if "edges" in data:
-                n = graphmod.json_order(data)
+                n = data["n"]
+                if type(n) is not int:  # not 3.5, "3" or true: bool is an int subclass
+                    raise ParseError(f"{path}: 'n' must be an integer, got {n!r}")
                 _check_qubits(n)  # before Graph's O(n²) validation
                 return graphmod.from_edges(n, [tuple(e) for e in data["edges"]])
             if "tableau" in data:

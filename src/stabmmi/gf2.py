@@ -38,13 +38,6 @@ class BitMatrix(namedtuple("BitMatrix", "rows cols")):
         return len(self.rows)
 
 
-def transpose(m: BitMatrix) -> BitMatrix:
-    cols = []
-    for j in range(m.cols):
-        cols.append(sum(((r >> j) & 1) << i for i, r in enumerate(m.rows)))
-    return BitMatrix(tuple(cols), m.nrows)
-
-
 def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     """Reduced row echelon form with zero rows dropped.
 
@@ -102,10 +95,6 @@ class Subspace(namedtuple("Subspace", "ambient basis")):
             yield v
 
 
-def column_space(m: BitMatrix) -> Subspace:
-    return Subspace(m.nrows, transpose(m))
-
-
 def _check_ambient(u: Subspace, v: Subspace) -> None:
     if u.ambient != v.ambient:
         raise ValueError("ambient dimension mismatch")
@@ -129,10 +118,6 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     low_mask = (1 << n) - 1
     inter = [r >> n for r in reduced.rows if not (r & low_mask)]
     return Subspace(n, BitMatrix(tuple(inter), n))
-
-
-def triple_intersect(u: Subspace, v: Subspace, w: Subspace) -> Subspace:
-    return intersect(intersect(u, v), w)
 
 
 def is_distributive(u: Subspace, v: Subspace, w: Subspace) -> bool:

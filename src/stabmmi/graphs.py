@@ -32,7 +32,6 @@ __all__ = [
     "to_graph6",
     "from_graph6",
     "to_json",
-    "json_order",
 ]
 
 
@@ -204,14 +203,6 @@ def from_graph6(text: str) -> Graph:
 
 def to_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges()]})
-
-
-def json_order(data) -> int:
-    """The `"n"` of a JSON edge list: a JSON integer, not 3.5, "3" or true."""
-    n = data["n"]
-    if type(n) is not int:  # bool is an int subclass
-        raise ValueError(f"'n' must be an integer, got {n!r}")
-    return n
 
 
 def from_edge_mask(n: int, mask: int) -> Graph:

@@ -120,13 +120,11 @@ def is_generalized_star(g: Graph, p: StarPartition) -> bool:
 
 
 def is_anchored_single_center(g: Graph, p: StarPartition) -> bool:
-    """Single-center anchoring: every block touches the center vertex."""
+    """Single-center anchoring: every block touches the center vertex, that
+    is, the partition has a four-star witness."""
     if bin(p.c).count("1") != 1:
         raise ValueError("anchoring test requires |C| == 1")
-    if not is_generalized_star(g, p):
-        raise ValueError("partition is not a generalized star")
-    nb = g.adj[p.c.bit_length() - 1]
-    return bool(nb & p.i) and bool(nb & p.j) and bool(nb & p.k)
+    return four_star_witness(g, p) is not None
 
 
 def _span(vectors) -> frozenset[int]:
@@ -211,17 +209,16 @@ def generalized_anchoring(g: Graph, p: StarPartition) -> bool:
 def four_star_witness(
     g: Graph, p: StarPartition
 ) -> tuple[int, int, int, int] | None:
-    """An induced four-star (center in C, one leaf in each block), if any."""
+    """An induced four-star with its center in C and one leaf in each block,
+    if any: the first center whose neighborhood meets I, J and K, with its
+    least neighbor in each (1-based).  No edge joins two blocks, so the
+    leaves are pairwise non-adjacent."""
+    if not is_generalized_star(g, p):
+        raise ValueError("partition is not a generalized star")
     for c in _bits(p.c):
-        nb = g.adj[c]
-        for i in _bits(nb & p.i):
-            for j in _bits(nb & p.j):
-                if (g.adj[i] >> j) & 1:
-                    continue
-                for k in _bits(nb & p.k):
-                    if (g.adj[i] >> k) & 1 or (g.adj[j] >> k) & 1:
-                        continue
-                    return (c + 1, i + 1, j + 1, k + 1)
+        leaves = [g.adj[c] & block for block in (p.i, p.j, p.k)]
+        if all(leaves):
+            return (c + 1, *((leaf & -leaf).bit_length() for leaf in leaves))
     return None
 
 

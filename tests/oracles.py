@@ -138,6 +138,18 @@ def mmi_instance_count(n: int, include_full_union: bool) -> int:
     return total
 
 
+def random_adjacency(rng, n: int) -> tuple[int, ...]:
+    """Adjacency bitmasks of a random graph on n vertices: each pair v < w,
+    in lexicographic order, is an edge when rng.random() < 0.5."""
+    adj = [0] * n
+    for v in range(n):
+        for w in range(v + 1, n):
+            if rng.random() < 0.5:
+                adj[v] |= 1 << w
+                adj[w] |= 1 << v
+    return tuple(adj)
+
+
 def dfs_lc_closure(adj: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
     """Depth-first closure under local complementation (oracle for the census's
     LC orbit labels)."""

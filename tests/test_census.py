@@ -15,7 +15,8 @@ from stabmmi.graphs import CapExceeded, from_edges
 from stabmmi.star import find_star_partition
 
 from oracles import brute_canonical, brute_lagrangians, dfs_lc_closure, edge_mask_adjacency
-from oracles import per_graph_vector_counts, span_elements, table_canonical, union_find_least
+from oracles import per_graph_vector_counts, random_adjacency, span_elements, table_canonical
+from oracles import union_find_least
 
 
 def rank_entropies(source) -> tuple[int, ...]:
@@ -60,13 +61,7 @@ def test_support_counting_matches_rank_entropies():
         assert entropy_vector(t).values == rank_entropies(t)
     for _ in range(25):
         n = rng.randint(2, 6)
-        edges = [
-            (v, w)
-            for v in range(1, n + 1)
-            for w in range(v + 1, n + 1)
-            if rng.random() < 0.5
-        ]
-        g = from_edges(n, edges)
+        g = graphmod.Graph(n, random_adjacency(rng, n))
         assert entropy_vector(g).values == rank_entropies(g)
 
 

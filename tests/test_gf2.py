@@ -10,17 +10,29 @@ from stabmmi import gf2
 from stabmmi.gf2 import (
     BitMatrix,
     Subspace,
-    column_space,
     intersect,
     is_distributive,
     rank,
     rref,
     sum_spaces,
-    transpose,
-    triple_intersect,
 )
 
 from oracles import brute_intersection, brute_sum, naive_rank
+
+
+def transpose(m: BitMatrix) -> BitMatrix:
+    cols = []
+    for j in range(m.cols):
+        cols.append(sum(((r >> j) & 1) << i for i, r in enumerate(m.rows)))
+    return BitMatrix(tuple(cols), m.nrows)
+
+
+def column_space(m: BitMatrix) -> Subspace:
+    return Subspace(m.nrows, transpose(m))
+
+
+def triple_intersect(u: Subspace, v: Subspace, w: Subspace) -> Subspace:
+    return intersect(intersect(u, v), w)
 
 
 def random_matrix(rng, rows, cols):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from stabmmi import cli
-from stabmmi.gf2 import rank, transpose
+from stabmmi.gf2 import rank
 from stabmmi.graphs import (
     Graph,
     entropy,
@@ -17,7 +17,8 @@ from stabmmi.graphs import (
     to_json,
 )
 
-from oracles import dfs_lc_closure
+from oracles import dfs_lc_closure, random_adjacency
+from test_gf2 import transpose
 
 
 def k4_star():
@@ -26,16 +27,6 @@ def k4_star():
 
 def k4112():
     return from_edges(5, [(1, 2), (1, 3), (1, 4), (4, 5)])
-
-
-def random_graph(rng, n):
-    edges = [
-        (v, w)
-        for v in range(1, n + 1)
-        for w in range(v + 1, n + 1)
-        if rng.random() < 0.5
-    ]
-    return from_edges(n, edges)
 
 
 def test_from_edges_star_adjacency():
@@ -72,8 +63,9 @@ def test_local_complement_star_gives_complete_graph():
 def test_local_complement_involution():
     rng = random.Random(31)
     for _ in range(50):
-        g = random_graph(rng, rng.randint(2, 7))
-        a = rng.randint(1, g.n)
+        n = rng.randint(2, 7)
+        g = Graph(n, random_adjacency(rng, n))
+        a = rng.randint(1, n)
         assert local_complement(local_complement(g, a), a) == g
 
 
@@ -106,8 +98,9 @@ def test_submatrix_star():
 def test_submatrix_complement_is_transpose():
     rng = random.Random(33)
     for _ in range(40):
-        g = random_graph(rng, rng.randint(2, 7))
-        full = (1 << g.n) - 1
+        n = rng.randint(2, 7)
+        g = Graph(n, random_adjacency(rng, n))
+        full = (1 << n) - 1
         m = rng.randint(1, full - 1)
         assert submatrix(g, full ^ m) == transpose(submatrix(g, m))
 
@@ -146,7 +139,8 @@ def test_graph6_fixtures():
 def test_graph6_round_trips():
     rng = random.Random(35)
     for _ in range(100):
-        g = random_graph(rng, rng.randint(1, 20))
+        n = rng.randint(1, 20)
+        g = Graph(n, random_adjacency(rng, n))
         assert from_graph6(to_graph6(g)) == g
 
 

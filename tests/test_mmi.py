@@ -16,7 +16,7 @@ from stabmmi import graphs as graphmod
 from stabmmi import tableau as tabmod
 from stabmmi.graphs import MmiOutcome
 
-from oracles import relabeling_tables, table_canonical
+from oracles import random_adjacency, relabeling_tables, table_canonical
 from test_tableau import random_tableau
 
 
@@ -29,9 +29,6 @@ def rank_values(module, source) -> tuple[int, ...]:
     return tuple(module.entropy(source, m) for m in range(1, 1 << source.n))
 
 
-def random_graph(rng, n):
-    pairs = list(combinations(range(1, n + 1), 2))
-    return graphmod.from_edges(n, [e for e in pairs if rng.random() < 0.5])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -60,7 +57,7 @@ def test_instance_signs_match_evaluate_mmi_and_mmi_signs(n, include_full_union):
     agree, and the numpy gather reads the same mask table; without the full
     union, the instances and signs are those that leave a qubit out."""
     rng = random.Random(80 + n)
-    sources = [random_graph(rng, n) for _ in range(6)]
+    sources = [graphmod.Graph(n, random_adjacency(rng, n)) for _ in range(6)]
     if n > 1:
         sources += [random_tableau(rng, n) for _ in range(6)]
     full_table = entmod.mmi_table(n, True)

@@ -23,7 +23,8 @@ from stabmmi.star import (
     mmi_cij_colspace,
 )
 
-from oracles import edge_scan_generalized_star
+from oracles import edge_scan_generalized_star, random_adjacency
+from test_gf2 import column_space, triple_intersect
 
 # Explicit classification examples, one per taxonomy case.
 CASE1 = (5, [(3, 1), (1, 5), (5, 2), (2, 4)], ([1, 2], [3], [4], [5]))
@@ -261,6 +262,15 @@ def test_nontrivial_intersection_gives_four_star_witness():
     assert found > 20  # the suite actually exercised the property
 
 
+def test_four_star_witness_rejects_a_non_star_partition():
+    triangle = from_edges(4, [(1, 2), (1, 3), (1, 4), (2, 3)])
+    p = StarPartition.from_sets(4, [1], [2], [3], [4])
+    with pytest.raises(ValueError, match="not a generalized star"):
+        four_star_witness(triangle, p)
+    with pytest.raises(ValueError, match="not a generalized star"):
+        is_anchored_single_center(triangle, p)
+
+
 def test_find_star_partition():
     star5 = from_edges(5, [(1, v) for v in range(2, 6)])
     p = find_star_partition(star5)
@@ -278,7 +288,8 @@ def test_find_star_partition_results_are_valid():
     rng = random.Random(57)
     found = 0
     for _ in range(100):
-        g = _random_graph(rng, rng.randint(4, 7))
+        n = rng.randint(4, 7)
+        g = Graph(n, random_adjacency(rng, n))
         p = find_star_partition(g)
         if p is None:
             continue
@@ -287,16 +298,6 @@ def test_find_star_partition_results_are_valid():
         assert classify(g, p).nontrivial_intersection
         assert four_star_witness(g, p) is not None
     assert found > 10
-
-
-def _random_graph(rng, n):
-    edges = [
-        (v, w)
-        for v in range(1, n + 1)
-        for w in range(v + 1, n + 1)
-        if rng.random() < 0.5
-    ]
-    return from_edges(n, edges)
 
 
 def test_classification_json_record():
@@ -346,9 +347,9 @@ def _gf2_block(g, p, block):
 def _gf2_spaces(blocks):
     """Members, nontrivial triple intersection and distributivity of the
     three blocks' column spaces, by rref and Zassenhaus intersection."""
-    w = [gf2.column_space(b) for b in blocks]
+    w = [column_space(b) for b in blocks]
     members = tuple(set(x.elements()) for x in w)
-    return members, gf2.triple_intersect(*w).dim > 0, gf2.is_distributive(*w)
+    return members, triple_intersect(*w).dim > 0, gf2.is_distributive(*w)
 
 
 def _gf2_oracle(g, p):
@@ -378,6 +379,27 @@ def test_block_spaces_and_classify_match_gf2_on_every_small_partition():
     assert checked == 13632
 
 
+def test_four_star_witness_is_the_least_induced_four_star_across_the_blocks():
+    """On every generalized-star partition of every graph with n ≤ 5, the
+    witness is the least (c, i, j, k) among the induced four-stars with
+    center c in C and one leaf in each of I, J, K, or None if there is none."""
+    checked = 0
+    for n in range(4, 6):
+        for m in range(1 << (n * (n - 1) // 2)):
+            g = graphmod.from_edge_mask(n, m)
+            stars = list(graphmod.induced_four_stars(g))
+            for p in _star_partitions(g):
+                across = [
+                    (c, *leaves)
+                    for c, three in stars
+                    for leaves in itertools.permutations(three)
+                    if all((part >> (v - 1)) & 1 for part, v in zip(p, (c, *leaves)))
+                ]
+                assert four_star_witness(g, p) == min(across, default=None)
+                checked += 1
+    assert checked == 13632
+
+
 def _gf2_find_nontrivial(g):
     """The partition find_star_partition(g) should return: among those
     whose triple intersection is nontrivial, the largest |C∪I∪J|, then the
@@ -397,7 +419,7 @@ def test_nontrivial_search_matches_gf2_search_on_a_sample():
         graphmod.from_edge_mask(n, m) for n in range(1, 6) for m in range(1 << (n * (n - 1) // 2))
     ]
     positives = negatives = 0
-    for g in small + [_random_graph(rng, n) for n in (6, 6, 6, 7) * 12]:
+    for g in small + [Graph(n, random_adjacency(rng, n)) for n in (6, 6, 6, 7) * 12]:
         expect = _gf2_find_nontrivial(g)
         assert find_star_partition(g) == expect
         if expect is None:

@@ -18,6 +18,8 @@ from stabmmi.tableau import (
     zero_state,
 )
 
+from oracles import random_adjacency
+
 
 def ghz4():
     t = zero_state(4)
@@ -167,29 +169,17 @@ def test_from_graph_matches_adjacency_entropy():
     rng = random.Random(24)
     for _ in range(25):
         n = rng.randint(2, 7)
-        g = graphmod.Graph(
-            n, tuple() if n == 0 else _random_adj(rng, n)
-        )
+        g = graphmod.Graph(n, random_adjacency(rng, n))
         t = from_graph(g)
         for m in range(1, (1 << n) - 1):
             assert entropy(t, m) == graphmod.entropy(g, m)
-
-
-def _random_adj(rng, n):
-    adj = [0] * n
-    for v in range(n):
-        for w in range(v + 1, n):
-            if rng.random() < 0.5:
-                adj[v] |= 1 << w
-                adj[w] |= 1 << v
-    return tuple(adj)
 
 
 def test_graph_state_by_cz_construction():
     rng = random.Random(25)
     for _ in range(20):
         n = rng.randint(2, 6)
-        g = graphmod.Graph(n, _random_adj(rng, n))
+        g = graphmod.Graph(n, random_adjacency(rng, n))
         t = zero_state(n)
         for q in range(1, n + 1):
             t = apply_h(t, q)
