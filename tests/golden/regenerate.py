@@ -6,7 +6,9 @@ code, the sha256 of its stdout and stderr (with the text itself when it is
 short, so that a failure shows a diff) and the sha256 of every file it
 wrote.  The at-cap census runs (`AT_CAP`) run instead in a subprocess that
 is killed after a set number of seconds, so that a slowdown fails the case
-instead of hanging it.  `tests/test_golden.py` compares each case with its
+instead of hanging it.  The library-call entries (`CENSUS_NS`) pin the
+graph census listings, representatives included, which the CLI prints only
+in part.  `tests/test_golden.py` compares each case and call with its
 `manifest.json` entry.
 
 Run from the repository root:
@@ -31,7 +33,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from stabmmi import cli
+from stabmmi import census, cli
 from stabmmi import tableau as tabmod
 from stabmmi.graphs import from_edges, to_graph6, to_json
 
@@ -57,6 +59,9 @@ AT_CAP = {
     ("census", "--classes", "7", "--source", "graphs"): 30,
     ("census", "--scan-four-star", "7"): 30,
 }
+
+# n of each `census.vector_census(n, "graphs")` library-call entry
+CENSUS_NS = (6, 7)
 
 # JSON graphs whose "n" is not a qubit count the per-state commands take
 BAD_ORDERS = {"float": "3.5", "string": '"3"', "bool": "true", "zero": "0", "nine": "9"}
@@ -224,6 +229,30 @@ def record(argv: list[str], workdir) -> dict:
     }
 
 
+def record_census(n: int) -> dict:
+    """`census.vector_census(n, "graphs")` as a manifest entry: the sha256 of
+    its vector listing, one JSON line `[vector, count, graph6 of the
+    representative]` per entry in dict order, and of its class listing,
+    one line `[canonical, satisfies, saturates, fails, states, member
+    vectors, graph6 of the representative]` per class."""
+    result = census.vector_census(n, "graphs")
+    vectors = [
+        [list(vals), count, to_graph6(result.representatives[vals])]
+        for vals, count in result.vectors.items()
+    ]
+    classes = [
+        [list(canon), *info.tally.as_triple(), info.state_count, info.member_vectors,
+         to_graph6(info.representative)]
+        for canon, info in result.classes.items()
+    ]
+    return {
+        "call": f"vector_census({n}, 'graphs')",
+        "n": n,
+        **_stream("vectors", "".join(json.dumps(row) + "\n" for row in vectors)),
+        **_stream("classes", "".join(json.dumps(row) + "\n" for row in classes)),
+    }
+
+
 def main() -> None:
     if "--corpus" in sys.argv[1:]:
         build_corpus()
@@ -231,8 +260,9 @@ def main() -> None:
     for argv in cases():
         with tempfile.TemporaryDirectory() as tmp:
             entries.append(record(argv, tmp))
-    MANIFEST.write_text(json.dumps({"cases": entries}, indent=1) + "\n")
-    print(f"wrote {len(entries)} cases to {MANIFEST}")
+    calls = [record_census(n) for n in CENSUS_NS]
+    MANIFEST.write_text(json.dumps({"cases": entries, "calls": calls}, indent=1) + "\n")
+    print(f"wrote {len(entries)} cases and {len(calls)} calls to {MANIFEST}")
 
 
 if __name__ == "__main__":

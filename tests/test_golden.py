@@ -1,16 +1,23 @@
 """Every golden case gives the exit code, stdout, stderr and written files
-recorded in `golden/manifest.json`: the CLI's outputs stay byte-identical
-unless a change means to move them (see `golden/regenerate.py`)."""
+recorded in `golden/manifest.json`, and every library call the listings
+recorded there: the outputs stay byte-identical unless a change means to
+move them (see `golden/regenerate.py`)."""
 
 import json
 
 import pytest
 
-from golden.regenerate import MANIFEST, record
+from golden.regenerate import MANIFEST, record, record_census
 
-CASES = json.loads(MANIFEST.read_text())["cases"]
+GOLDEN = json.loads(MANIFEST.read_text())
+CASES, CALLS = GOLDEN["cases"], GOLDEN["calls"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(case["argv"]) for case in CASES])
 def test_golden_output(case, tmp_path):
     assert record(case["argv"], tmp_path) == case
+
+
+@pytest.mark.parametrize("call", CALLS, ids=[call["call"] for call in CALLS])
+def test_golden_call(call):
+    assert record_census(call["n"]) == call
