@@ -276,17 +276,17 @@ def _distinct_rows(rows: np.ndarray, weights: np.ndarray, firsts: np.ndarray):
     return rows[first], counts, firsts[first]
 
 
-def _vector_counts(n: int, source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _vector_counts(n: int, source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Distinct entropy vectors over all labeled graphs, or over all unsigned
     stabilizer groups as graphs weighted by the groups each stands for.
 
     Returns the distinct value rows in first-seen order, the graph or group
-    count of each, and the edge mask of its first graph.  Every graph of an
-    orbit has its root's vector, so a vector's first graph is the least root
-    among the orbits that have it."""
+    count of each, the edge mask of its first graph, and `_lc_orbits`'s
+    columns.  Every graph of an orbit has its root's vector, so a vector's
+    first graph is the least root among the orbits that have it."""
     cols, label, roots, rows = _lc_orbits(n)
     weights = _group_weights(cols.T) if source == "groups" else None
-    return _distinct_rows(rows, np.bincount(label, weights)[roots], roots)
+    return *_distinct_rows(rows, np.bincount(label, weights)[roots], roots), cols
 
 
 def _graph_fails(n: int) -> np.ndarray:
@@ -324,13 +324,12 @@ def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult
 
     `jobs` is accepted and ignored: every census runs in one process."""
     check_census_size(n, source)
-    rows, counts, firsts = _vector_counts(n, source)
+    rows, counts, firsts, cols = _vector_counts(n, source)
     keys = list(map(tuple, rows.tolist()))
     vectors = dict(zip(keys, counts.tolist()))
-    reps = {
-        key: graphmod.from_edge_mask(n, first) if source == "graphs" else None
-        for key, first in zip(keys, firsts.tolist())
-    }
+    reps = dict.fromkeys(keys)
+    if source == "graphs":
+        reps.update(zip(keys, (Graph(n, tuple(adj)) for adj in cols[:, firsts].T.tolist())))
 
     components: dict[int, list[tuple[int, ...]]] = {}
     for vals, label in zip(keys, _exchange_labels(n, rows).tolist()):
@@ -387,11 +386,12 @@ def state_census(n: int, jobs: int = 1) -> CensusRow:
 # conjecture scans
 
 
-def _orbit_four_star_search(n: int, members: np.ndarray) -> tuple[Graph | None, int]:
-    """The first graph of an orbit's edge masks `members` that has an induced
-    four-star (None if none has), and the members tested up to it."""
-    for searched, mask in enumerate(members.tolist(), start=1):
-        g = graphmod.from_edge_mask(n, mask)
+def _orbit_four_star_search(cols: np.ndarray, members: np.ndarray) -> tuple[Graph | None, int]:
+    """The first graph of an orbit's edge masks `members`, read off the
+    adjacency columns `cols`, that has an induced four-star (None if none
+    has), and the members tested up to it."""
+    for searched, mask in enumerate(members, start=1):
+        g = Graph(len(cols), tuple(cols[:, mask].tolist()))
         if next(graphmod.induced_four_stars(g), None) is not None:
             return g, searched
     return None, len(members)
@@ -402,7 +402,7 @@ def four_star_conjecture_scan(n: int) -> dict:
     graph, member by member in ascending edge-mask order, for an induced
     four-star; counterexamples are expected empty."""
     check_census_size(n, "graphs")
-    _cols, label, roots, rows = _lc_orbits(n)
+    cols, label, roots, rows = _lc_orbits(n)
     vals, _counts, firsts = _distinct_rows(rows, np.ones(len(roots)), roots)
     fails = (mmi_signs(vals) < 0).any(axis=-1)
     failing = sorted(zip(vals[fails].tolist(), firsts[fails].tolist()))
@@ -413,10 +413,10 @@ def four_star_conjecture_scan(n: int) -> dict:
     counterexamples = []
     for idx, (_vals, rep_mask) in enumerate(failing, start=1):
         # a vector's first graph is a root
-        member, searched = _orbit_four_star_search(n, orbits[np.searchsorted(roots, rep_mask)])
+        member, searched = _orbit_four_star_search(cols, orbits[np.searchsorted(roots, rep_mask)])
         record = {
             "vector_id": idx,
-            "representative": graphmod.to_graph6(graphmod.from_edge_mask(n, rep_mask)),
+            "representative": graphmod.to_graph6(Graph(n, tuple(cols[:, rep_mask].tolist()))),
             "orbit_searched": searched,
         }
         if member is not None:

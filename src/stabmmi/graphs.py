@@ -160,15 +160,15 @@ def induced_four_stars(g: Graph) -> Iterator[tuple[int, tuple[int, int, int]]]:
 def to_graph6(g: Graph) -> str:
     if g.n > 62:
         raise ValueError("only the short graph6 form (n ≤ 62) is supported")
-    bits = []
-    for w in range(1, g.n):
+    # the size character's six bits, then the upper triangle column by
+    # column, zero-padded to whole characters; the first bit is the highest
+    x, bits = g.n, g.n * (g.n - 1) // 2
+    for w, row in enumerate(g.adj):
         for v in range(w):
-            bits.append((g.adj[v] >> w) & 1)
-    chars = [chr(63 + g.n)]
-    for i in range(0, len(bits), 6):
-        chunk = bits[i : i + 6] + [0] * (6 - len(bits[i : i + 6]))
-        chars.append(chr(63 + sum(b << (5 - k) for k, b in enumerate(chunk))))
-    return "".join(chars)
+            x = x << 1 | row >> v & 1
+    pad = -bits % 6
+    x <<= pad
+    return "".join([chr(63 + (x >> i & 63)) for i in range(bits + pad, -1, -6)])
 
 
 def from_graph6(text: str) -> Graph:

@@ -150,6 +150,21 @@ def random_adjacency(rng, n: int) -> tuple[int, ...]:
     return tuple(adj)
 
 
+def bit_list_graph6(n: int, adj: tuple[int, ...]) -> str:
+    """graph6 of a graph on n ≤ 62 vertices, literally: the size character,
+    then the bits of the upper triangle column by column in a list, cut into
+    zero-padded chunks of six, each chunk read first bit highest."""
+    bits = []
+    for w in range(1, n):
+        for v in range(w):
+            bits.append((adj[v] >> w) & 1)
+    chars = [chr(63 + n)]
+    for i in range(0, len(bits), 6):
+        chunk = bits[i : i + 6] + [0] * (6 - len(bits[i : i + 6]))
+        chars.append(chr(63 + sum(b << (5 - k) for k, b in enumerate(chunk))))
+    return "".join(chars)
+
+
 def dfs_lc_closure(adj: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
     """Depth-first closure under local complementation (oracle for the census's
     LC orbit labels)."""

@@ -139,7 +139,7 @@ def test_weighted_group_counts_match_every_group(n):
     x = np.array([t.x.rows for t in groups])
     z = np.array([t.z.rows for t in groups])
     plain = Counter(row.tobytes() for row in C._entropy_rows(x, z))
-    rows, counts, _firsts = C._vector_counts(n, "groups")
+    rows, counts, _firsts, _cols = C._vector_counts(n, "groups")
     assert counts.dtype == np.int64
     assert dict(zip((row.tobytes() for row in rows), counts.tolist())) == plain
 
@@ -237,7 +237,7 @@ def test_exchange_labels_are_relabeling_orbits(n):
     """Each distinct vector's exchange label is the first vector with the
     same least relabeled tuple: each component is one whole relabeling
     orbit, whose least member the census takes as the canonical form."""
-    rows, _, _ = C._vector_counts(n, "graphs")
+    rows, *_ = C._vector_counts(n, "graphs")
     canon = table_canonical(n, rows.tolist())
     first = {}
     want = [first.setdefault(canon[vals], i) for i, vals in enumerate(map(tuple, rows.tolist()))]
@@ -291,6 +291,18 @@ def test_vector_census_order_is_first_seen():
     assert [(k, v.representative) for k, v in result.classes.items()] == [
         (canon, reps[vals[0]]) for canon, vals in members.items()
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_representatives_are_first_graphs_of_the_per_graph_walk(n):
+    """Each vector's representative is the graph of its first edge mask in
+    the per-graph walk, in that walk's order."""
+    rows, _counts, firsts = per_graph_vector_counts(n, "graphs")
+    want = [
+        (tuple(row), graphmod.from_edge_mask(n, first))
+        for row, first in zip(rows.tolist(), firsts.tolist())
+    ]
+    assert list(C.vector_census(n, source="graphs").representatives.items()) == want
 
 
 def test_graphs_and_groups_same_vector_sets():
@@ -358,7 +370,7 @@ def test_orbit_labels_are_least_lc_orbit_masks(n):
 def test_vector_counts_match_per_graph_walk(n, source):
     """The orbit census gives the per-graph walk's rows, counts and first
     edge masks byte for byte, dtypes and order included."""
-    got = C._vector_counts(n, source)
+    got = C._vector_counts(n, source)[:3]
     want = per_graph_vector_counts(n, source)
     for a, b in zip(got, want, strict=True):
         assert (a.dtype, a.shape) == (b.dtype, b.shape)

@@ -17,7 +17,7 @@ from stabmmi.graphs import (
     to_json,
 )
 
-from oracles import dfs_lc_closure, random_adjacency
+from oracles import bit_list_graph6, dfs_lc_closure, random_adjacency
 from test_gf2 import transpose
 
 
@@ -142,6 +142,24 @@ def test_graph6_round_trips():
         n = rng.randint(1, 20)
         g = Graph(n, random_adjacency(rng, n))
         assert from_graph6(to_graph6(g)) == g
+
+
+def test_graph6_matches_the_bit_list_encoder():
+    """Five seeded graphs for every n = 1..62, the edge density drawn per
+    graph, against the literal encoder; n = 63 needs the long form, which
+    is not written."""
+    rng = random.Random(62)
+    for n in range(1, 63):
+        for _ in range(5):
+            p = rng.random()
+            adj = [0] * n
+            for v, w in combinations(range(n), 2):
+                if rng.random() < p:
+                    adj[v] |= 1 << w
+                    adj[w] |= 1 << v
+            assert to_graph6(Graph(n, tuple(adj))) == bit_list_graph6(n, tuple(adj)), n
+    with pytest.raises(ValueError):
+        to_graph6(Graph(63, (0,) * 63))
 
 
 def test_graph6_malformed():

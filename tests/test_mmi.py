@@ -96,7 +96,7 @@ def test_mmi_table_rows_are_the_sorted_instance_masks():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_canonicalize_matches_the_census_on_every_graph_vector(n):
     """Every distinct vector of the graph census, against the tables."""
-    rows, _, _ = census._vector_counts(n, "graphs")
+    rows, *_ = census._vector_counts(n, "graphs")
     want = table_canonical(n, rows.tolist())
     for row in rows.tolist():
         ev = entmod.EntropyVector(n, tuple(row))
@@ -106,7 +106,7 @@ def test_canonicalize_matches_the_census_on_every_graph_vector(n):
 def test_canonicalize_matches_the_census_on_seeded_7_qubit_vectors():
     """200 seeded distinct vectors of the 7-qubit graph census, against the
     tables."""
-    rows, _, _ = census._vector_counts(7, "graphs")
+    rows, *_ = census._vector_counts(7, "graphs")
     sample = random.Random(77).sample(rows.tolist(), 200)
     want = table_canonical(7, sample)
     for row in sample:
