@@ -281,9 +281,9 @@ def _vector_counts(n: int, source: str) -> tuple[np.ndarray, np.ndarray, np.ndar
     stabilizer groups as graphs weighted by the groups each stands for.
 
     Returns the distinct value rows in first-seen order, the graph or group
-    count of each, the edge mask of its first graph, and `_lc_orbits`'s
-    columns.  Every graph of an orbit has its root's vector, so a vector's
-    first graph is the least root among the orbits that have it."""
+    count of each, the edge mask of its first graph, and N(v) of every graph
+    as `_lc_orbits` gives it.  Every graph of an orbit has its root's vector,
+    so a vector's first graph is the least root among the orbits that have it."""
     cols, label, roots, rows = _lc_orbits(n)
     weights = _group_weights(cols.T) if source == "groups" else None
     return *_distinct_rows(rows, np.bincount(label, weights)[roots], roots), cols

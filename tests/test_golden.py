@@ -9,8 +9,8 @@ import pytest
 
 from golden.regenerate import MANIFEST, record, record_census
 
-GOLDEN = json.loads(MANIFEST.read_text())
-CASES, CALLS = GOLDEN["cases"], GOLDEN["calls"]
+MANIFEST_ENTRIES = json.loads(MANIFEST.read_text())
+CASES, CALLS = MANIFEST_ENTRIES["cases"], MANIFEST_ENTRIES["calls"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(case["argv"]) for case in CASES])
