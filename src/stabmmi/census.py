@@ -276,26 +276,6 @@ def _distinct_rows(rows: np.ndarray, weights: np.ndarray, firsts: np.ndarray):
     return rows[first], counts, firsts[first]
 
 
-def _vector_counts(n: int, source: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct entropy vectors over all labeled graphs, or over all unsigned
-    stabilizer groups as graphs weighted by the groups each stands for.
-
-    Returns the distinct value rows in first-seen order, the graph or group
-    count of each, the edge mask of its first graph, and N(v) of every graph
-    as `_lc_orbits` gives it.  Every graph of an orbit has its root's vector,
-    so a vector's first graph is the least root among the orbits that have it."""
-    cols, label, roots, rows = _lc_orbits(n)
-    weights = _group_weights(cols.T) if source == "groups" else None
-    return *_distinct_rows(rows, np.bincount(label, weights)[roots], roots), cols
-
-
-def _graph_fails(n: int) -> np.ndarray:
-    """Whether each labeled graph's vector fails some MMI instance, indexed
-    by edge mask: each graph reads its root's flag."""
-    _cols, label, roots, rows = _lc_orbits(n)
-    return (mmi_signs(rows) < 0).any(axis=-1)[np.searchsorted(roots, label)]
-
-
 # ---------------------------------------------------------------------------
 # exchange classes and census aggregation
 
@@ -324,7 +304,11 @@ def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult
 
     `jobs` is accepted and ignored: every census runs in one process."""
     check_census_size(n, source)
-    rows, counts, firsts, cols = _vector_counts(n, source)
+    cols, label, roots, rows = _lc_orbits(n)
+    weights = _group_weights(cols.T) if source == "groups" else None
+    # every graph of an orbit has its root's vector, so a vector's first
+    # graph is the least root among the orbits that have it
+    rows, counts, firsts = _distinct_rows(rows, np.bincount(label, weights)[roots], roots)
     keys = list(map(tuple, rows.tolist()))
     vectors = dict(zip(keys, counts.tolist()))
     reps = dict.fromkeys(keys)
@@ -437,11 +421,14 @@ def nontrivial_intersection_scan(n: int) -> dict:
     some MMI instance.  Only graphs whose vector fails nothing need the
     partition search; any hit there is a counterexample."""
     check_census_size(n, "graphs")
+    cols, label, roots, rows = _lc_orbits(n)
+    # a failing graph satisfies the implication whatever its partitions;
+    # each graph reads its root's fail flag
+    fails = (mmi_signs(rows) < 0).any(axis=-1)[np.searchsorted(roots, label)]
+    searched = np.flatnonzero(~fails).tolist()
     counterexamples = []
-    # a failing graph satisfies the implication whatever its partitions
-    searched = np.flatnonzero(~_graph_fails(n)).tolist()
     for mask in searched:
-        g = graphmod.from_edge_mask(n, mask)
+        g = Graph(n, tuple(cols[:, mask].tolist()))
         if starmod.find_star_partition(g) is not None:
             counterexamples.append(graphmod.to_graph6(g))
     return {

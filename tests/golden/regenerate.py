@@ -115,6 +115,10 @@ def build_corpus() -> None:
     for name, rows in (("newline", ["1000\n0100"]), ("empty", ["1000", "", "0100"]),
                        ("padded", [" 1000 ", "0100"])):
         files[f"t-{name}-row.json"] = json.dumps({"tableau": rows}) + "\n"
+    # graph6 bodies that do not decode: a character below "?", and set
+    # padding bits after the three edge bits of n = 3
+    files["g6-bad-char.g6"] = "B!\n"
+    files["g6-bad-padding.g6"] = "B~\n"
     for name, text in files.items():
         (INPUTS / name).write_text(text)
     with tempfile.TemporaryDirectory() as tmp:
@@ -170,6 +174,9 @@ def cases() -> list[list[str]]:
         ["census", "--scan-four-star", "5", "-o", "four-star.json"],
         ["census", "--scan-intersection", "5", "-o", "intersection.json"],
         ["report", "inputs/classes4.json", "-d", "report"],
+        ["entropy", "inputs/g6-bad-char.g6"],
+        ["entropy", "inputs/g6-bad-padding.g6"],
+        ["classify", "inputs/star4.json", "--partition", '{"C": [9], "I": [2], "J": [3], "K": [4]}'],
     ]
     return out
 

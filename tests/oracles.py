@@ -253,8 +253,8 @@ def per_graph_vector_counts(n: int, source: str):
     """The census tally without LC orbits: the entropy kernel on every labeled
     graph, tallied in one dict keyed by the bytes of each row.  Returns the
     distinct rows in order of their first edge mask, their graph (or
-    weighted group) counts and their first edge masks, with the dtypes of
-    `census._vector_counts`."""
+    weighted group) counts and their first edge masks: uint8 rows, int64
+    counts and masks."""
     from stabmmi import census as C
 
     counts: dict[bytes, int] = {}

@@ -1,5 +1,6 @@
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import stabmmi
-from stabmmi import entropy, graphs, star
+from stabmmi import census, entropy, graphs, star, tableau
 from stabmmi.entropy import EntropyVector, MmiInstance, MmiTally
 from stabmmi.gf2 import BitMatrix, Subspace
 from stabmmi.graphs import Graph, MmiOutcome
@@ -126,6 +127,47 @@ def test_value_type_contract(name):
 )
 def test_value_type_validation(make, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+_PATH4 = Graph(4, (2, 5, 10, 4))  # 1-2-3-4
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: census.CensusRow(1, 6, 5, 0, 0, 1, 1, 0), ValueError,
+         "state buckets must sum to total_states"),
+        (lambda: census.CensusRow(1, 7, 7, 0, 0, 1, 1, 0), ValueError,
+         "total_states disagrees with the group-count formula"),
+        (lambda: EntropyVector(2, (0, 0)), ValueError,
+         "entropy vector needs one value per nonempty mask"),
+        (lambda: MmiInstance(0, 1, 2), ValueError, "subsystems must be nonempty"),
+        (lambda: entropy.entropy_vector("B?"), TypeError, "unsupported source str"),
+        (lambda: BitMatrix((), -1), ValueError, "negative column count"),
+        (lambda: graphs.check_census_size(3, "states"), ValueError, "unknown source 'states'"),
+        (lambda: Graph(0, ()), ValueError, "graph needs at least one vertex"),
+        (lambda: Graph(2, (0,)), ValueError, "adjacency row count must equal n"),
+        (lambda: Graph(1, (2,)), ValueError, "adjacency bits beyond vertex range"),
+        (lambda: graphs.local_complement(_PATH4, 5), IndexError, "vertex 5 out of range"),
+        (lambda: graphs.submatrix(_PATH4, 16), ValueError, "mask outside vertex range"),
+        (lambda: graphs.entropy(_PATH4, 0), ValueError, "empty subsystem"),
+        (lambda: star.block_spaces(_PATH4, StarPartition(1, 2, 4, 8)), ValueError,
+         "partition is not a generalized star"),
+        (lambda: Tableau(2, BitMatrix((1,), 2), BitMatrix((2,), 2)), ValueError,
+         "x and z must be n×n"),
+        (lambda: tableau.project(zero_state(2), 4), ValueError, "mask outside qubit range"),
+    ],
+    ids=[
+        "CensusRow-buckets", "CensusRow-total", "EntropyVector-length", "MmiInstance-empty",
+        "entropy_vector-source", "BitMatrix-cols", "check_census_size-source", "Graph-empty",
+        "Graph-rows", "Graph-bits", "local_complement-vertex", "submatrix-mask",
+        "entropy-empty", "block_spaces-star", "Tableau-shape", "project-mask",
+    ],
+)
+def test_input_checks(make, error, message):
+    """Each input check that no CLI path reaches, with its type and message."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         make()
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from stabmmi import census as C
 from stabmmi import graphs as graphmod
+from stabmmi import star as starmod
 from stabmmi import tableau as tabmod
 from stabmmi.entropy import EntropyVector, MmiOutcome, entropy_vector
 from stabmmi.entropy import evaluate_mmi, mmi_instances, mmi_tally
@@ -138,10 +139,8 @@ def test_weighted_group_counts_match_every_group(n):
     groups = list(C.enumerate_stabilizer_groups(n))
     x = np.array([t.x.rows for t in groups])
     z = np.array([t.z.rows for t in groups])
-    plain = Counter(row.tobytes() for row in C._entropy_rows(x, z))
-    rows, counts, _firsts, _cols = C._vector_counts(n, "groups")
-    assert counts.dtype == np.int64
-    assert dict(zip((row.tobytes() for row in rows), counts.tolist())) == plain
+    plain = Counter(map(tuple, C._entropy_rows(x, z).tolist()))
+    assert list(C.vector_census(n, "groups").vectors.items()) == list(plain.items())
 
 
 def test_sampled_graph_groups_match_rank_entropies():
@@ -237,7 +236,7 @@ def test_exchange_labels_are_relabeling_orbits(n):
     """Each distinct vector's exchange label is the first vector with the
     same least relabeled tuple: each component is one whole relabeling
     orbit, whose least member the census takes as the canonical form."""
-    rows, *_ = C._vector_counts(n, "graphs")
+    rows = np.array(list(C.vector_census(n, "graphs").vectors), dtype=np.uint8)
     canon = table_canonical(n, rows.tolist())
     first = {}
     want = [first.setdefault(canon[vals], i) for i, vals in enumerate(map(tuple, rows.tolist()))]
@@ -368,27 +367,49 @@ def test_orbit_labels_are_least_lc_orbit_masks(n):
 @pytest.mark.parametrize("source", ["graphs", "groups"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_vector_counts_match_per_graph_walk(n, source):
-    """The orbit census gives the per-graph walk's rows, counts and first
-    edge masks byte for byte, dtypes and order included."""
-    got = C._vector_counts(n, source)[:3]
-    want = per_graph_vector_counts(n, source)
-    for a, b in zip(got, want, strict=True):
-        assert (a.dtype, a.shape) == (b.dtype, b.shape)
-        assert a.tobytes() == b.tobytes()
+    """The orbit census gives the per-graph walk's vectors and counts, in
+    that walk's order."""
+    rows, counts, _firsts = per_graph_vector_counts(n, source)
+    want = list(zip(map(tuple, rows.tolist()), counts.tolist()))
+    assert list(C.vector_census(n, source).vectors.items()) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_scan_fail_flags_match_per_graph_kernel(n):
-    """The intersection scan's fail flag of every labeled graph equals the
-    one read off that graph's own kernel row, instance by instance."""
+def test_scan_fail_flags_match_per_graph_kernel(n, monkeypatch):
+    """The intersection scan searches exactly the labeled graphs whose own
+    kernel row fails no MMI instance, in ascending edge-mask order."""
     adj = edge_mask_adjacency(n, range(1 << (n * (n - 1) // 2)))
     instances = mmi_instances(n)
     want = []
-    for row in C._graph_entropy_rows(adj).tolist():
+    for mask, row in enumerate(C._graph_entropy_rows(adj).tolist()):
         ev = EntropyVector(n, tuple(row))
-        want.append(any(evaluate_mmi(ev, inst) is MmiOutcome.FAILS for inst in instances))
-    got = C._graph_fails(n)
-    assert got.dtype == bool and got.tolist() == want
+        if not any(evaluate_mmi(ev, inst) is MmiOutcome.FAILS for inst in instances):
+            want.append(mask)
+    searched = []
+    monkeypatch.setattr(starmod, "find_star_partition", lambda g: searched.append(edge_mask(g)))
+    report = C.nontrivial_intersection_scan(n)
+    assert searched == want
+    assert report == {"n": n, "graphs_searched": len(want), "counterexamples": []}
+
+
+def test_intersection_scan_lists_a_planted_counterexample(monkeypatch):
+    """A partition found on one non-failing graph makes that graph, and only
+    it, a counterexample; the searched set stays the same."""
+    n = 5
+    planted = from_edges(n, [(1, 2), (2, 3), (3, 4), (4, 5)])  # the path
+    ev = EntropyVector(n, rank_entropies(planted))
+    assert all(evaluate_mmi(ev, inst) is not MmiOutcome.FAILS for inst in mmi_instances(n))
+    want = C.nontrivial_intersection_scan(n)
+    searched = []
+
+    def find(g):
+        searched.append(g)
+        return "partition" if g == planted else None
+
+    monkeypatch.setattr(starmod, "find_star_partition", find)
+    report = C.nontrivial_intersection_scan(n)
+    assert planted in searched and len(searched) == want["graphs_searched"]
+    assert report == {**want, "counterexamples": [graphmod.to_graph6(planted)]}
 
 
 def test_four_star_scan_small():
@@ -422,6 +443,28 @@ def test_four_star_witness_is_least_orbit_mask_with_a_four_star(n):
         witness = edge_mask(graphmod.from_graph6(rec["witness"]))
         assert edge_mask(rep) == orbit[0] and witness == hits[0]
         assert rec["orbit_searched"] == orbit.index(witness) + 1
+
+
+def test_four_star_scan_lists_a_planted_counterexample(monkeypatch):
+    """With no induced four-star anywhere in one failing vector's LC orbit,
+    that vector's record moves to the counterexamples, having searched the
+    whole orbit; every other record stays as it was."""
+    n = 5
+    want = C.four_star_conjecture_scan(n)
+    planted = want["witnesses"][3]
+    rep = graphmod.from_graph6(planted["representative"])
+    orbit = set(lc_orbit_masks(rep))
+    find = graphmod.induced_four_stars
+    monkeypatch.setattr(
+        graphmod, "induced_four_stars", lambda g: iter(()) if edge_mask(g) in orbit else find(g)
+    )
+    report = C.four_star_conjecture_scan(n)
+    moved = {k: v for k, v in planted.items() if k != "witness"}
+    assert report == {
+        **want,
+        "witnesses": [rec for rec in want["witnesses"] if rec is not planted],
+        "counterexamples": [{**moved, "orbit_searched": len(orbit)}],
+    }
 
 
 def test_four_star_scan_report_keys_do_not_depend_on_n():
