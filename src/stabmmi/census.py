@@ -5,7 +5,9 @@ classes with MMI tallies.  Local complementation (LC) of a graph is a local
 Clifford, and local Cliffords change no subsystem entropy (Van den Nest,
 Dehaene, De Moor, PRA 69, 022316, 2004), so the support-counting kernel
 `_entropy_rows`, the numpy batch form of `entropy.entropy_vector`, runs
-once per labeled LC orbit, on its least edge mask.  A graph state's
+once per label class of one sweep of a min-label LC walk, on the class's
+least edge mask: each class lies inside one LC orbit, and equal rows are
+merged afterwards.  A graph state's
 generators are X on vertex v times Z on its neighbours.  The distinct
 vectors are labeled by the same walk with the n − 1 adjacent qubit
 transpositions as moves.  These generate every relabeling, and the
@@ -13,7 +15,8 @@ distinct vectors are closed under relabeling, so each component is one
 whole exchange class, and its least vector is the class's canonical form
 (the one `entropy.canonicalize` gives).  `mmi_signs` tallies the classes in
 one gather through the mask table of `entropy.mmi_table`.  The four-star
-scan reads each orbit's members off the LC-orbit labels.
+scan runs the LC walk until it converges and reads each orbit's members off
+its labels.
 
 Both censuses walk the same orbits: the group census weights each graph.  An
 unsigned stabilizer group is a maximal symplectically self-orthogonal
@@ -185,8 +188,8 @@ def _group_weights(adj: np.ndarray) -> np.ndarray:
     """Groups per graph row, 2^(n−d)·3^d: d counts the vertices with no
     larger neighbour."""
     n = adj.shape[1]
-    d = (adj >> np.arange(1, n + 1) == 0).sum(axis=1)
-    return (1 << (n - d)) * 3**d
+    d = (adj >> np.arange(1, n + 1, dtype=np.uint8) == 0).sum(axis=1, dtype=np.uint8)
+    return np.array([(1 << (n - k)) * 3**k for k in range(n + 1)])[d]
 
 
 def enumerate_stabilizer_groups(n: int):
@@ -219,30 +222,36 @@ def enumerate_stabilizer_groups(n: int):
 # labeled LC orbits and distinct-vector tallies
 
 
-def _orbit_labels(size: int, moves) -> np.ndarray:
-    """The least index in the orbit of each of range(size) under a set of
-    involutions, as int32.  `moves()` yields each involution's image array
-    once per sweep.  Each index takes the least label of its images, move
-    after move, then its label's label, until a sweep changes no label."""
-    label = np.arange(size, dtype=np.int32)
-    while True:
-        before = label
-        for image in moves():
-            label = np.minimum(label, label[image])
-        label = label[label]
-        if np.array_equal(label, before):
-            return label
+def _sweep(label: np.ndarray, moves) -> np.ndarray:
+    """One sweep of the min-label walk over a set of involutions, from int32
+    labels with label[i] ≤ i.  `moves()` yields each involution's image
+    array.  Each index takes the least label of its images, move after move,
+    then its label's label until every label is its own label.  Labels only
+    move along the involutions, so each label lies in its index's orbit."""
+    for image in moves():
+        label = np.minimum(label, label[image])
+    while not np.array_equal(jumped := label[label], label):
+        label = jumped
+    return label
 
 
-def _lc_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every labeled graph's LC orbit.
+def _orbit_labels(label: np.ndarray, moves) -> np.ndarray:
+    """The least index in the orbit of each index: `_sweep` from `label`
+    until a sweep changes no label."""
+    while not np.array_equal(swept := _sweep(label, moves), label):
+        label = swept
+    return label
+
+
+def _lc_orbits(n: int, walk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every labeled graph's LC label under `walk`, `_sweep` or `_orbit_labels`.
 
     Returns N(v) of every graph as n uint8 columns indexed by edge mask, the
-    label of each graph (the least edge mask in its orbit, int32), the roots
-    (the graphs that are their own label) in ascending order, and the kernel
-    entropy rows of the roots.  LC at v toggles every pair inside N(v), so
-    it maps edge mask g to g ^ pairs[N(v)]; each sweep recomputes these
-    images."""
+    label of each graph (an edge mask in its orbit, no larger than its own;
+    the least one under `_orbit_labels`), the roots (the graphs that are
+    their own label) in ascending order, and the kernel entropy rows of the
+    roots.  LC at v toggles every pair inside N(v), so it maps edge mask g
+    to g ^ pairs[N(v)]; each sweep recomputes these images."""
     cols = np.zeros((n, 1), dtype=np.uint8)
     subsets = np.arange(1 << n)
     pairs = np.zeros(1 << n, dtype=np.int32)
@@ -252,7 +261,7 @@ def _lc_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         cols = np.concatenate([cols, cols | edge], axis=1)
         pairs |= (subsets >> i & subsets >> j & 1) << b
     masks = np.arange(cols.shape[1], dtype=np.int32)
-    label = _orbit_labels(len(masks), lambda: (pairs[col] ^ masks for col in cols))
+    label = walk(masks, lambda: (pairs[col] ^ masks for col in cols))
     roots = np.flatnonzero(label == masks)
     return cols, label, roots, _graph_entropy_rows(cols[:, roots].T)
 
@@ -296,7 +305,7 @@ def _exchange_labels(n: int, rows: np.ndarray) -> np.ndarray:
     for k in range(n - 1):
         swapped = masks ^ ((masks >> k ^ masks >> (k + 1)) & 1) * (3 << k)
         images.append(order[np.searchsorted(keys, _row_keys(rows[:, swapped - 1]))])
-    return _orbit_labels(len(rows), lambda: images)
+    return _orbit_labels(np.arange(len(rows), dtype=np.int32), lambda: images)
 
 
 def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult:
@@ -304,10 +313,12 @@ def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult
 
     `jobs` is accepted and ignored: every census runs in one process."""
     check_census_size(n, source)
-    cols, label, roots, rows = _lc_orbits(n)
+    # one sweep suffices: labels move only along LC moves, so each label
+    # class lies inside one LC orbit and every member has its root's vector;
+    # `_distinct_rows` sums the classes of equal vectors, and a vector's
+    # first graph is the least root among the classes that have it
+    cols, label, roots, rows = _lc_orbits(n, _sweep)
     weights = _group_weights(cols.T) if source == "groups" else None
-    # every graph of an orbit has its root's vector, so a vector's first
-    # graph is the least root among the orbits that have it
     rows, counts, firsts = _distinct_rows(rows, np.bincount(label, weights)[roots], roots)
     keys = list(map(tuple, rows.tolist()))
     vectors = dict(zip(keys, counts.tolist()))
@@ -386,7 +397,7 @@ def four_star_conjecture_scan(n: int) -> dict:
     graph, member by member in ascending edge-mask order, for an induced
     four-star; counterexamples are expected empty."""
     check_census_size(n, "graphs")
-    cols, label, roots, rows = _lc_orbits(n)
+    cols, label, roots, rows = _lc_orbits(n, _orbit_labels)
     vals, _counts, firsts = _distinct_rows(rows, np.ones(len(roots)), roots)
     fails = (mmi_signs(vals) < 0).any(axis=-1)
     failing = sorted(zip(vals[fails].tolist(), firsts[fails].tolist()))
@@ -421,7 +432,7 @@ def nontrivial_intersection_scan(n: int) -> dict:
     some MMI instance.  Only graphs whose vector fails nothing need the
     partition search; any hit there is a counterexample."""
     check_census_size(n, "graphs")
-    cols, label, roots, rows = _lc_orbits(n)
+    cols, label, roots, rows = _lc_orbits(n, _sweep)
     # a failing graph satisfies the implication whatever its partitions;
     # each graph reads its root's fail flag
     fails = (mmi_signs(rows) < 0).any(axis=-1)[np.searchsorted(roots, label)]

@@ -63,8 +63,7 @@ class EntropyVector(namedtuple("EntropyVector", "n values")):
 
     # indexing is by mask; the field accessors read the tuple slots directly
     def __getitem__(self, mask: int) -> int:
-        if mask == 0:
-            return 0
+        # ev[0] reads values[-1], S of the full system, which __new__ forces to 0
         return self.values[mask - 1]
 
     def to_json(self, canonical: bool = False) -> str:

@@ -125,6 +125,14 @@ def build_corpus() -> None:
         census = record(["census", "--classes", "4", "--json", "-o", "classes4.json"], tmp)
         assert census["exit"] == 0, census
         (INPUTS / "classes4.json").write_bytes((Path(tmp) / "classes4.json").read_bytes())
+    # malformed censuses for `report`, each of which exits 2: a repeated and
+    # a string class_id, and a "\udcff" escape, which decodes to a lone
+    # surrogate that UTF-8 cannot encode
+    for name, key, value in (("repeated-id", "class_id", 1), ("string-id", "class_id", "2"),
+                             ("surrogate", "canonical_vector", "\udcff")):
+        data = json.loads((INPUTS / "classes4.json").read_text())
+        data["classes"][1][key] = value
+        (INPUTS / f"classes4-{name}.json").write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 def cases() -> list[list[str]]:
@@ -177,6 +185,10 @@ def cases() -> list[list[str]]:
         ["entropy", "inputs/g6-bad-char.g6"],
         ["entropy", "inputs/g6-bad-padding.g6"],
         ["classify", "inputs/star4.json", "--partition", '{"C": [9], "I": [2], "J": [3], "K": [4]}'],
+        # unwritable outputs exit 1: a missing directory, and an existing file as -d
+        ["census", "--classes", "4", "--json", "-o", "missing/x.json"],
+        ["report", "inputs/classes4.json", "-d", "inputs/g1.g6"],
+        *(["report", f"inputs/classes4-{name}.json"] for name in ("repeated-id", "string-id", "surrogate")),
     ]
     return out
 

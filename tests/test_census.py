@@ -127,9 +127,14 @@ def test_numpy_group_batch_matches_python():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_group_rows_and_weights_total(n):
     """One row per labeled graph, whose 2^(n−d)·3^d weights total every group."""
-    adj = C._lc_orbits(n)[0].T
+    adj = C._lc_orbits(n, C._sweep)[0].T
     assert len(adj) == 1 << (n * (n - 1) // 2)
-    assert int(C._group_weights(adj).sum()) == C.stabilizer_group_count(n)
+    weights = C._group_weights(adj)
+    assert int(weights.sum()) == C.stabilizer_group_count(n)
+    assert weights.dtype == np.int64
+    if n <= 6:  # the formula graph by graph
+        d = [sum(not row >> (v + 1) for v, row in enumerate(g)) for g in adj.tolist()]
+        assert weights.tolist() == [(1 << (n - k)) * 3**k for k in d]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -265,10 +270,15 @@ def test_orbit_labels_match_union_find(seed):
         sweeps.append(None)
         return iter(images)
 
-    label = C._orbit_labels(size, moves)
+    label = C._orbit_labels(np.arange(size, dtype=np.int32), moves)
     assert label.dtype == np.int32
-    assert label.tolist() == union_find_least(size, images)
+    least = union_find_least(size, images)
+    assert label.tolist() == least
     assert len(sweeps) >= 3
+    # one sweep: each label is its own label and lies in its index's component
+    swept = C._sweep(np.arange(size, dtype=np.int32), lambda: iter(images))
+    assert swept.dtype == np.int32 and (swept[swept] == swept).all()
+    assert [least[i] for i in swept.tolist()] == least
 
 
 def test_vector_census_order_is_first_seen():
@@ -347,7 +357,7 @@ def test_orbit_labels_are_least_lc_orbit_masks(n):
     depth-first search: every labeled graph for n ≤ 5, seeded samples at
     n = 6 and 7.  The roots are the distinct labels, ascending, and the
     adjacency columns are the graph rows."""
-    cols, label, roots, rows = C._lc_orbits(n)
+    cols, label, roots, rows = C._lc_orbits(n, C._orbit_labels)
     total = 1 << (n * (n - 1) // 2)
     assert label.dtype == np.int32 and cols.dtype == np.uint8 and len(label) == total
     assert roots.tolist() == sorted(set(label.tolist()))
@@ -362,6 +372,33 @@ def test_orbit_labels_are_least_lc_orbit_masks(n):
     step = max(1, len(roots) // 50)
     for root, row in zip(roots[::step].tolist(), rows[::step]):
         assert tuple(row.tolist()) == rank_entropies(graphmod.from_edge_mask(n, root))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_one_sweep_labels_lie_in_lc_orbits(n):
+    """After one sweep, each graph's label is an edge mask of its LC orbit,
+    as found by depth-first search, no larger than its own, and its own
+    label: every labeled graph for n ≤ 5, seeded samples at n = 6 and 7."""
+    cols, label, roots, rows = C._lc_orbits(n, C._sweep)
+    masks = np.arange(1 << (n * (n - 1) // 2))
+    assert (label <= masks).all() and (label[label] == label).all()
+    assert roots.tolist() == sorted(set(label.tolist()))
+    sample = masks.tolist() if n <= 5 else random.Random(80 + n).sample(masks.tolist(), 15)
+    orbits: dict[int, set[int]] = {}  # one search per orbit
+    for m in sample:
+        if m not in orbits:
+            orbit = set(lc_orbit_masks(graphmod.from_edge_mask(n, m)))
+            orbits.update(dict.fromkeys(orbit, orbit))
+        assert label[m] in orbits[m]
+
+
+@pytest.mark.parametrize("n, classes, vectors", [(6, 777, 760), (7, 11683, 10773)])
+def test_one_sweep_leaves_classes_that_share_a_vector(n, classes, vectors):
+    """One sweep leaves more label classes than distinct vectors, so the
+    census merges the rows of classes that share an LC orbit."""
+    rows = C._lc_orbits(n, C._sweep)[3]
+    assert len(rows) == classes
+    assert len(np.unique(C._row_keys(rows))) == vectors
 
 
 @pytest.mark.parametrize("source", ["graphs", "groups"])

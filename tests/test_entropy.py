@@ -48,6 +48,13 @@ def test_zero_state_vector():
     assert set(ev.values) == {0}
 
 
+def test_mask_zero_reads_zero():
+    """ev[0], the empty subsystem, is 0 for a graph source and a tableau source."""
+    star = from_edges(4, [(1, 2), (1, 3), (1, 4)])
+    for ev in (entropy_vector(star), entropy_vector(ghz4())):
+        assert ev[0] == 0 and ev[0b1111] == 0 and ev[0b0001] == 1
+
+
 def test_phi_single_qubit_entropies():
     ev = entropy_vector(phi4())
     assert ev[0b1000] == 0
