@@ -223,11 +223,12 @@ def enumerate_stabilizer_groups(n: int):
 
 
 def _sweep(label: np.ndarray, moves) -> np.ndarray:
-    """One sweep of the min-label walk over a set of involutions, from int32
-    labels with label[i] ≤ i.  `moves()` yields each involution's image
-    array.  Each index takes the least label of its images, move after move,
-    then its label's label until every label is its own label.  Labels only
-    move along the involutions, so each label lies in its index's orbit."""
+    """One sweep of the min-label walk over a set of involutions.  `label`
+    gives each index an int32 index of its orbit no larger than itself (at
+    first its own); `moves()` yields each involution's image array.  Each
+    index takes the least label of its images, move after move, then its
+    label's label until every label is its own label.  Labels move only
+    along the involutions, so each stays in its index's orbit."""
     for image in moves():
         label = np.minimum(label, label[image])
     while not np.array_equal(jumped := label[label], label):
@@ -236,8 +237,8 @@ def _sweep(label: np.ndarray, moves) -> np.ndarray:
 
 
 def _orbit_labels(label: np.ndarray, moves) -> np.ndarray:
-    """The least index in the orbit of each index: `_sweep` from `label`
-    until a sweep changes no label."""
+    """The least index in the orbit of each index: `_sweep` from `label`,
+    as `_sweep` takes it, until a sweep changes no label."""
     while not np.array_equal(swept := _sweep(label, moves), label):
         label = swept
     return label
@@ -434,8 +435,10 @@ def nontrivial_intersection_scan(n: int) -> dict:
     check_census_size(n, "graphs")
     cols, label, roots, rows = _lc_orbits(n, _sweep)
     # a failing graph satisfies the implication whatever its partitions;
-    # each graph reads its root's fail flag
-    fails = (mmi_signs(rows) < 0).any(axis=-1)[np.searchsorted(roots, label)]
+    # each graph reads its root's fail flag; the MMI gather, which sets the
+    # scan's peak memory, runs once per distinct row
+    _keys, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    fails = (mmi_signs(rows[first]) < 0).any(axis=-1)[inverse][np.searchsorted(roots, label)]
     searched = np.flatnonzero(~fails).tolist()
     counterexamples = []
     for mask in searched:

@@ -384,7 +384,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("census", help="census tables and conjecture scans", description=(
         "Census tables and conjecture scans, in one process: the entropy kernel runs once per"
-        " labeled local-complementation orbit of graphs (N <= 7; groups N <= 6), and"
+        " class of one local-complementation sweep of graphs (N <= 7; groups N <= 6), and"
         " --scan-four-star tests the members of each failing vector's orbit in ascending"
         " edge-mask order until one has an induced four-star."))
     p.add_argument(

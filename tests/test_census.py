@@ -379,7 +379,7 @@ def test_one_sweep_labels_lie_in_lc_orbits(n):
     """After one sweep, each graph's label is an edge mask of its LC orbit,
     as found by depth-first search, no larger than its own, and its own
     label: every labeled graph for n ≤ 5, seeded samples at n = 6 and 7."""
-    cols, label, roots, rows = C._lc_orbits(n, C._sweep)
+    _cols, label, roots, _rows = C._lc_orbits(n, C._sweep)
     masks = np.arange(1 << (n * (n - 1) // 2))
     assert (label <= masks).all() and (label[label] == label).all()
     assert roots.tolist() == sorted(set(label.tolist()))
