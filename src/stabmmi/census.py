@@ -7,16 +7,16 @@ Dehaene, De Moor, PRA 69, 022316, 2004), so the support-counting kernel
 `_entropy_rows`, the numpy batch form of `entropy.entropy_vector`, runs
 once per label class of one sweep of a min-label LC walk, on the class's
 least edge mask: each class lies inside one LC orbit, and equal rows are
-merged afterwards.  A graph state's
-generators are X on vertex v times Z on its neighbours.  The distinct
-vectors are labeled by the same walk with the n − 1 adjacent qubit
-transpositions as moves.  These generate every relabeling, and the
-distinct vectors are closed under relabeling, so each component is one
-whole exchange class, and its least vector is the class's canonical form
-(the one `entropy.canonicalize` gives).  `mmi_signs` tallies the classes in
-one gather through the mask table of `entropy.mmi_table`.  The four-star
-scan runs the LC walk until it converges and reads each orbit's members off
-its labels.
+merged afterwards.  A graph state's generators are X on vertex v times Z on
+its neighbours.  The distinct vectors are labeled by the same walk with the
+n − 1 adjacent qubit transpositions as moves.  These generate every
+relabeling, and the distinct vectors are closed under relabeling, so each
+component is one whole exchange class, and its least vector, the first in
+the sorted keys of the binary search, is the class's canonical form (the
+one `entropy.canonicalize` gives).  Class counts are `np.bincount`s over
+the class ids, and `mmi_signs` tallies the classes through the mask table
+of `entropy.mmi_table`.  The four-star scan runs the LC walk until it
+converges and reads each orbit's members off its labels.
 
 Both censuses walk the same orbits: the group census weights each graph.  An
 unsigned stabilizer group is a maximal symplectically self-orthogonal
@@ -155,6 +155,9 @@ def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (popcount[1:, None] - log2[counts[1:]]).T.copy()
 
 
+_MMI_CHUNK = 1024  # rows per `mmi_signs` gather: 12 MB at n = 7
+
+
 @cache
 def _mmi_table(n: int) -> np.ndarray:
     """`entropy.mmi_table` as an index array; read-only."""
@@ -169,10 +172,17 @@ def mmi_signs(values) -> np.ndarray:
 
     `values` holds value rows of shape (..., 2^n − 1), n read from the last
     axis (one vector: `ev.values`); the result has shape (..., instances).
-    The gather is int8: entropies are at most n/2, so sums of four fit."""
+    The gather is int8, since entropies are at most n/2 and sums of four
+    fit, and runs `_MMI_CHUNK` rows at a time, which bounds its peak."""
     padded = np.insert(np.asarray(values, dtype=np.int8), 0, 0, axis=-1)
-    s = padded[..., _mmi_table(padded.shape[-1].bit_length() - 1)]
-    return np.sign(s[..., :3].sum(axis=-1, dtype=np.int8) - s[..., 3:].sum(axis=-1, dtype=np.int8))
+    table = _mmi_table(padded.shape[-1].bit_length() - 1)
+    flat = padded.reshape(-1, padded.shape[-1])
+    signs = np.empty((len(flat), len(table)), dtype=np.int8)
+    for start in range(0, len(flat), _MMI_CHUNK):
+        s = flat[start : start + _MMI_CHUNK][:, table]
+        s = s[..., :3].sum(axis=-1, dtype=np.int8) - s[..., 3:].sum(axis=-1, dtype=np.int8)
+        signs[start : start + _MMI_CHUNK] = np.sign(s)
+    return signs.reshape(padded.shape[:-1] + (len(table),))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +240,8 @@ def _sweep(label: np.ndarray, moves) -> np.ndarray:
     label's label until every label is its own label.  Labels move only
     along the involutions, so each stays in its index's orbit."""
     for image in moves():
-        label = np.minimum(label, label[image])
-    while not np.array_equal(jumped := label[label], label):
+        label = np.minimum(label, label.take(image))
+    while not np.array_equal(jumped := label.take(label), label):
         label = jumped
     return label
 
@@ -262,7 +272,7 @@ def _lc_orbits(n: int, walk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
         cols = np.concatenate([cols, cols | edge], axis=1)
         pairs |= (subsets >> i & subsets >> j & 1) << b
     masks = np.arange(cols.shape[1], dtype=np.int32)
-    label = walk(masks, lambda: (pairs[col] ^ masks for col in cols))
+    label = walk(masks, lambda: (pairs.take(col) ^ masks for col in cols))
     roots = np.flatnonzero(label == masks)
     return cols, label, roots, _graph_entropy_rows(cols[:, roots].T)
 
@@ -278,10 +288,9 @@ def _distinct_rows(rows: np.ndarray, weights: np.ndarray, firsts: np.ndarray):
     their first edge masks `firsts`: the distinct rows in first-seen order,
     their summed weights as int64, and their first edge masks."""
     _keys, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    inverse = np.argsort(order)[inverse]  # into the first-seen order
+    order = np.argsort(first)  # into the first-seen order
     # float sums of integer weights are exact below 2^53
-    counts = np.bincount(inverse, weights).astype(np.int64)
+    counts = np.bincount(inverse, weights)[order].astype(np.int64)
     first = first[order]
     return rows[first], counts, firsts[first]
 
@@ -290,14 +299,14 @@ def _distinct_rows(rows: np.ndarray, weights: np.ndarray, firsts: np.ndarray):
 # exchange classes and census aggregation
 
 
-def _exchange_labels(n: int, rows: np.ndarray) -> np.ndarray:
-    """The index of the first row of each value row's relabeling orbit, for
-    distinct value rows `rows` that are closed under qubit relabeling.
-
-    The moves are the n − 1 adjacent transpositions, which generate every
-    relabeling: swapping qubits k and k + 1 maps mask m to the entry
+def _exchange_labels(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first and of the least row of each value row's
+    relabeling orbit, for distinct value rows `rows` that are closed under
+    qubit relabeling.  The moves are the n − 1 adjacent transpositions:
+    swapping qubits k and k + 1 maps mask m to the entry
     m ^ (bit k ≠ bit k + 1)·0b11 << k, and each swapped row is found among
-    the rows by a binary search of their sorted keys."""
+    the rows by a binary search of their sorted keys, in which an orbit's
+    least row comes first."""
     keys = _row_keys(rows)
     order = np.argsort(keys)
     keys = keys[order]
@@ -306,76 +315,63 @@ def _exchange_labels(n: int, rows: np.ndarray) -> np.ndarray:
     for k in range(n - 1):
         swapped = masks ^ ((masks >> k ^ masks >> (k + 1)) & 1) * (3 << k)
         images.append(order[np.searchsorted(keys, _row_keys(rows[:, swapped - 1]))])
-    return _orbit_labels(np.arange(len(rows), dtype=np.int32), lambda: images)
+    label = _orbit_labels(np.arange(len(rows), dtype=np.int32), lambda: images)
+    first_sorted = np.full(len(rows), len(rows))
+    np.minimum.at(first_sorted, label.take(order), np.arange(len(rows)))
+    return label, order.take(first_sorted.take(label))
 
 
-def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult:
-    """Distinct entropy vectors and exchange classes over one source family.
-
-    `jobs` is accepted and ignored: every census runs in one process."""
+def _census_arrays(n: int, source: str):
+    """One source family's census as arrays: the distinct rows in first-seen
+    order, their graph or group counts (int64), the adjacency rows of their
+    first graphs, each row's class id (its exchange class's first row), the
+    class heads (the rows that are their own class id) in ascending order,
+    each class's canonical row and the classes' MMI signs."""
     check_census_size(n, source)
-    # one sweep suffices: labels move only along LC moves, so each label
-    # class lies inside one LC orbit and every member has its root's vector;
-    # `_distinct_rows` sums the classes of equal vectors, and a vector's
-    # first graph is the least root among the classes that have it
+    # one sweep suffices: a vector's first graph is the least root among the
+    # label classes that `_distinct_rows` merges into it
     cols, label, roots, rows = _lc_orbits(n, _sweep)
     weights = _group_weights(cols.T) if source == "groups" else None
     rows, counts, firsts = _distinct_rows(rows, np.bincount(label, weights)[roots], roots)
+    class_id, least = _exchange_labels(n, rows)
+    heads = np.flatnonzero(class_id == np.arange(len(rows)))
+    canon = least[heads]
+    return rows, counts, cols[:, firsts].T, class_id, heads, canon, mmi_signs(rows[canon])
+
+
+def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult:
+    """Distinct entropy vectors and exchange classes over one source family;
+    `jobs` is accepted and ignored: every census runs in one process."""
+    rows, counts, adj, class_id, heads, canon, signs = _census_arrays(n, source)
     keys = list(map(tuple, rows.tolist()))
     vectors = dict(zip(keys, counts.tolist()))
     reps = dict.fromkeys(keys)
     if source == "graphs":
-        reps.update(zip(keys, (Graph(n, tuple(adj)) for adj in cols[:, firsts].T.tolist())))
-
-    components: dict[int, list[tuple[int, ...]]] = {}
-    for vals, label in zip(keys, _exchange_labels(n, rows).tolist()):
-        components.setdefault(label, []).append(vals)
-    # each component is a whole relabeling orbit, so its least member is the
-    # canonical form of every member
-    members = {min(vals): vals for vals in components.values()}
-    # satisfies, saturates and fails of every class in one gather
-    signs = mmi_signs(np.array(list(members), dtype=np.int8))
-    tallies = (signs[..., None] == np.array([1, 0, -1])).sum(axis=-2).tolist()
-    multiplier = (1 << n) if source == "groups" else 1
+        reps.update(zip(keys, (Graph(n, tuple(a)) for a in adj.tolist())))
+    states = np.bincount(class_id, counts)[heads].astype(np.int64) << (source == "groups") * n
+    members = np.bincount(class_id)[heads]
+    tallies = np.stack([(signs == s).sum(axis=-1) for s in (1, 0, -1)], axis=-1)
     classes = {
-        canon: ClassInfo(
-            canon,
-            MmiTally(*tally),
-            sum(vectors[v] for v in vals) * multiplier,
-            len(vals),
-            reps[vals[0]],
+        keys[c]: ClassInfo(keys[c], MmiTally(*tally), state_count, member_vectors, reps[keys[h]])
+        for c, h, tally, state_count, member_vectors in zip(
+            canon.tolist(), heads.tolist(), tallies.tolist(), states.tolist(), members.tolist()
         )
-        for (canon, vals), tally in zip(members.items(), tallies)
     }
     return CensusResult(n, source, vectors, reps, classes)
 
 
 def state_census(n: int, jobs: int = 1) -> CensusRow:
-    """Per-state MMI bucket counts over all signed stabilizer states.
-
-    A class's tally is that of each member vector, since relabeling qubits
-    permutes the MMI instances among themselves.  `jobs` is accepted and
-    ignored: every census runs in one process."""
-    result = vector_census(n, source="groups")
-    saturate = satisfy = fail = failing_vectors = 0
-    for info in result.classes.values():
-        if info.tally.fails:
-            fail += info.state_count
-            failing_vectors += info.member_vectors
-        elif info.tally.satisfies:
-            satisfy += info.state_count
-        else:
-            saturate += info.state_count
-    return CensusRow(
-        n,
-        (1 << n) * stabilizer_group_count(n),
-        saturate,
-        satisfy,
-        fail,
-        len(result.vectors),
-        len(result.classes),
-        failing_vectors,
-    )
+    """Per-state MMI bucket counts over all signed stabilizer states: each
+    state falls in its class's bucket, since relabeling qubits permutes the
+    MMI instances among themselves.  `jobs` is accepted and ignored: every
+    census runs in one process."""
+    rows, counts, _adj, class_id, heads, _canon, signs = _census_arrays(n, "groups")
+    fails = (signs < 0).any(axis=-1)
+    bucket = np.where(fails, 2, (signs > 0).any(axis=-1))[np.searchsorted(heads, class_id)]
+    states = np.bincount(bucket, counts, minlength=3).astype(np.int64) << n
+    failing_vectors = int(np.bincount(class_id)[heads][fails].sum())
+    total = (1 << n) * stabilizer_group_count(n)
+    return CensusRow(n, total, *states.tolist(), len(rows), len(heads), failing_vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -331,20 +331,23 @@ def cmd_report(args) -> int:
                 "</body></html>"
             )
         items = "".join(f'<li><a href="class-{cid}.html">Class {cid}</a></li>' for cid in pages)
-        index = (
+        files = {f"class-{cid}.html": page for cid, page in pages.items()}
+        files["index.html"] = (
             "<html><head><title>Census n={n}</title></head><body>"
             "<h1>Entropy-vector classes, n={n}</h1><ul>{items}</ul></body></html>"
         ).format(n=data.get("n", "?"), items=items)
         # every file is encoded before any is written: a JSON escape such as
         # "\udcff" decodes to a lone surrogate, which UTF-8 cannot encode
-        files = [(f"class-{cid}.html", page.encode()) for cid, page in pages.items()]
-        files.append(("index.html", index.encode()))
+        for name, page in files.items():
+            files[name] = page.encode()
+    except UnicodeEncodeError as exc:  # its repr holds the whole page
+        raise ParseError(f"{args.census}: malformed census: {name}: {exc.reason}") from exc
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"{args.census}: malformed census: {exc!r}") from exc
     outdir = Path(args.output_dir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, body in files:
+        for name, body in files.items():
             (outdir / name).write_bytes(body)
     except OSError as exc:
         raise UsageError(f"cannot write to {outdir}: {exc}") from exc

@@ -272,3 +272,29 @@ def per_graph_vector_counts(n: int, source: str):
         np.array(list(counts.values()), dtype=np.int64),
         np.array(list(firsts.values()), dtype=np.int64),
     )
+
+
+def per_class_state_census(result) -> tuple[int, ...]:
+    """The `state_census` row, in `CensusRow` field order, read class by
+    class off a group `vector_census` result: a class's states go to the
+    fail bucket if its tally fails some instance, else to the satisfy
+    bucket if it satisfies some, else to the saturate bucket."""
+    saturate = satisfy = fail = failing_vectors = 0
+    for info in result.classes.values():
+        if info.tally.fails:
+            fail += info.state_count
+            failing_vectors += info.member_vectors
+        elif info.tally.satisfies:
+            satisfy += info.state_count
+        else:
+            saturate += info.state_count
+    return (
+        result.n,
+        saturate + satisfy + fail,
+        saturate,
+        satisfy,
+        fail,
+        len(result.vectors),
+        len(result.classes),
+        failing_vectors,
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from itertools import chain, combinations
@@ -17,7 +18,7 @@ from stabmmi.star import find_star_partition
 
 from oracles import brute_canonical, brute_lagrangians, dfs_lc_closure, edge_mask_adjacency
 from oracles import per_graph_vector_counts, random_adjacency, span_elements, table_canonical
-from oracles import union_find_least
+from oracles import per_class_state_census, union_find_least
 
 
 def rank_entropies(source) -> tuple[int, ...]:
@@ -240,12 +241,16 @@ def test_census_classes_are_the_table_grouping_of_the_vectors(n, source):
 def test_exchange_labels_are_relabeling_orbits(n):
     """Each distinct vector's exchange label is the first vector with the
     same least relabeled tuple: each component is one whole relabeling
-    orbit, whose least member the census takes as the canonical form."""
+    orbit, whose least member the census takes as the canonical form, and
+    whose index comes second."""
     rows = np.array(list(C.vector_census(n, "graphs").vectors), dtype=np.uint8)
     canon = table_canonical(n, rows.tolist())
     first = {}
     want = [first.setdefault(canon[vals], i) for i, vals in enumerate(map(tuple, rows.tolist()))]
-    assert C._exchange_labels(n, rows).tolist() == want
+    label, least = C._exchange_labels(n, rows)
+    assert label.tolist() == want
+    index = {vals: i for i, vals in enumerate(map(tuple, rows.tolist()))}
+    assert least.tolist() == [index[canon[vals]] for vals in map(tuple, rows.tolist())]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -319,6 +324,15 @@ def test_graphs_and_groups_same_vector_sets():
         graph_vectors = set(C.vector_census(n, source="graphs").vectors)
         group_vectors = set(C.vector_census(n, source="groups").vectors)
         assert graph_vectors == group_vectors
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_state_census_is_the_per_class_tally(n):
+    """The array aggregation gives the row that a loop over the group
+    census's classes reads off their tallies, in Python ints."""
+    row = dataclasses.astuple(C.state_census(n))
+    assert row == per_class_state_census(C.vector_census(n, "groups"))
+    assert all(type(v) is int for v in row)
 
 
 def test_state_census_small():

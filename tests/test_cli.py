@@ -668,6 +668,24 @@ def test_report_malformed_census_is_a_parse_error(run, tmp_path, data):
 
 
 @pytest.mark.parametrize(
+    "data, page",
+    [
+        ({"n": 2, "classes": [{**_RECORD, "canonical_vector": "\udcff"}]}, "class-1.html"),
+        ({"n": "\udcff", "classes": [_RECORD]}, "index.html"),
+    ],
+    ids=["surrogate-in-page", "surrogate-in-index"],
+)
+def test_report_lone_surrogate_names_its_page(run, tmp_path, data, page):
+    """A lone surrogate, which UTF-8 cannot encode, is reported by the file
+    name of its page and the encoder's reason, not with the page's markup."""
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run("report", str(path), "-d", str(tmp_path / "html"))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {path}: malformed census: {page}: surrogates not allowed\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [["--budget", "0"], ["--budget", "-1"], ["--budget", "x"], ["--budget", "1.5"],
      ["--budget", ""]],
