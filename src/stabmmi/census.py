@@ -326,7 +326,7 @@ def _census_arrays(n: int, source: str):
     order, their graph or group counts (int64), the adjacency rows of their
     first graphs, each row's class id (its exchange class's first row), the
     class heads (the rows that are their own class id) in ascending order,
-    each class's canonical row and the classes' MMI signs."""
+    the index of each class's canonical row and the classes' MMI signs."""
     check_census_size(n, source)
     # one sweep suffices: a vector's first graph is the least root among the
     # label classes that `_distinct_rows` merges into it
