@@ -13,10 +13,11 @@ n − 1 adjacent qubit transpositions as moves.  These generate every
 relabeling, and the distinct vectors are closed under relabeling, so each
 component is one whole exchange class, and its least vector, the first in
 the sorted keys of the binary search, is the class's canonical form (the
-one `entropy.canonicalize` gives).  Class counts are `np.bincount`s over
-the class ids, and `mmi_signs` tallies the classes through the mask table
-of `entropy.mmi_table`.  The four-star scan runs the LC walk until it
-converges and reads each orbit's members off its labels.
+one `entropy.canonicalize` gives).  One core, `_census_arrays`, serves both
+censuses and both conjecture scans: one walk, one dedup, and `mmi_signs`
+once per exchange class, since relabeling permutes the MMI instances.  At
+every n the census admits, the graphs that share a distinct row form exactly
+one LC orbit, so the four-star scan reads each orbit off the rows.
 
 Both censuses walk the same orbits: the group census weights each graph.  An
 unsigned stabilizer group is a maximal symplectically self-orthogonal
@@ -37,6 +38,7 @@ these weights total ∏(2^k + 1).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
@@ -155,9 +157,6 @@ def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (popcount[1:, None] - log2[counts[1:]]).T.copy()
 
 
-_MMI_CHUNK = 1024  # rows per `mmi_signs` gather: 12 MB at n = 7
-
-
 @cache
 def _mmi_table(n: int) -> np.ndarray:
     """`entropy.mmi_table` as an index array; read-only."""
@@ -172,17 +171,16 @@ def mmi_signs(values) -> np.ndarray:
 
     `values` holds value rows of shape (..., 2^n − 1), n read from the last
     axis (one vector: `ev.values`); the result has shape (..., instances).
-    The gather is int8, since entropies are at most n/2 and sums of four
-    fit, and runs `_MMI_CHUNK` rows at a time, which bounds its peak."""
+    The seven terms are gathered one mask-table column at a time and summed
+    in place in int8, since entropies are at most n/2 and sums of four fit."""
     padded = np.insert(np.asarray(values, dtype=np.int8), 0, 0, axis=-1)
     table = _mmi_table(padded.shape[-1].bit_length() - 1)
-    flat = padded.reshape(-1, padded.shape[-1])
-    signs = np.empty((len(flat), len(table)), dtype=np.int8)
-    for start in range(0, len(flat), _MMI_CHUNK):
-        s = flat[start : start + _MMI_CHUNK][:, table]
-        s = s[..., :3].sum(axis=-1, dtype=np.int8) - s[..., 3:].sum(axis=-1, dtype=np.int8)
-        signs[start : start + _MMI_CHUNK] = np.sign(s)
-    return signs.reshape(padded.shape[:-1] + (len(table),))
+    s = padded[..., table[:, 0]]
+    for k in (1, 2):
+        s += padded[..., table[:, k]]
+    for k in range(3, 7):
+        s -= padded[..., table[:, k]]
+    return np.sign(s, out=s)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +227,7 @@ def enumerate_stabilizer_groups(n: int):
 
 
 # ---------------------------------------------------------------------------
-# labeled LC orbits and distinct-vector tallies
+# labeled LC orbits
 
 
 def _sweep(label: np.ndarray, moves) -> np.ndarray:
@@ -254,15 +252,14 @@ def _orbit_labels(label: np.ndarray, moves) -> np.ndarray:
     return label
 
 
-def _lc_orbits(n: int, walk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every labeled graph's LC label under `walk`, `_sweep` or `_orbit_labels`.
+def _lc_orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One `_sweep` of the LC walk over every labeled graph.
 
     Returns N(v) of every graph as n uint8 columns indexed by edge mask, the
-    label of each graph (an edge mask in its orbit, no larger than its own;
-    the least one under `_orbit_labels`), the roots (the graphs that are
-    their own label) in ascending order, and the kernel entropy rows of the
-    roots.  LC at v toggles every pair inside N(v), so it maps edge mask g
-    to g ^ pairs[N(v)]; each sweep recomputes these images."""
+    label of each graph (an edge mask in its LC orbit, no larger than its
+    own), the roots (the graphs that are their own label) in ascending order,
+    and the kernel entropy rows of the roots.  LC at v toggles every pair
+    inside N(v), so it maps edge mask g to g ^ pairs[N(v)]."""
     cols = np.zeros((n, 1), dtype=np.uint8)
     subsets = np.arange(1 << n)
     pairs = np.zeros(1 << n, dtype=np.int32)
@@ -272,7 +269,7 @@ def _lc_orbits(n: int, walk) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
         cols = np.concatenate([cols, cols | edge], axis=1)
         pairs |= (subsets >> i & subsets >> j & 1) << b
     masks = np.arange(cols.shape[1], dtype=np.int32)
-    label = walk(masks, lambda: (pairs.take(col) ^ masks for col in cols))
+    label = _sweep(masks, lambda: (pairs.take(col) ^ masks for col in cols))
     roots = np.flatnonzero(label == masks)
     return cols, label, roots, _graph_entropy_rows(cols[:, roots].T)
 
@@ -281,18 +278,6 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     """One void scalar per uint8 row, which sorts and compares as its bytes."""
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-
-
-def _distinct_rows(rows: np.ndarray, weights: np.ndarray, firsts: np.ndarray):
-    """The distinct rows of uint8 `rows`, which come in ascending order of
-    their first edge masks `firsts`: the distinct rows in first-seen order,
-    their summed weights as int64, and their first edge masks."""
-    _keys, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
-    order = np.argsort(first)  # into the first-seen order
-    # float sums of integer weights are exact below 2^53
-    counts = np.bincount(inverse, weights)[order].astype(np.int64)
-    first = first[order]
-    return rows[first], counts, firsts[first]
 
 
 # ---------------------------------------------------------------------------
@@ -321,40 +306,56 @@ def _exchange_labels(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return label, order.take(first_sorted.take(label))
 
 
-def _census_arrays(n: int, source: str):
-    """One source family's census as arrays: the distinct rows in first-seen
-    order, their graph or group counts (int64), the adjacency rows of their
-    first graphs, each row's class id (its exchange class's first row), the
-    class heads (the rows that are their own class id) in ascending order,
-    the index of each class's canonical row and the classes' MMI signs."""
+_Census = namedtuple("_Census", "cols vec rows counts firsts cls heads canon signs")
+
+
+def _census_arrays(n: int, source: str) -> _Census:
+    """One source family's census as arrays: the adjacency columns of every
+    labeled graph (`_lc_orbits`), each graph's int32 index `vec` of its
+    distinct row, the distinct rows in first-seen order with their graph or
+    group counts (int64) and first edge masks, each row's class index, the
+    class heads (each exchange class's first row) in ascending order, the
+    index of each class's canonical row and the classes' MMI signs.
+
+    The graphs that share a distinct row form one LC orbit at every n the
+    census admits, so `vec` groups the graphs by orbit as well."""
     check_census_size(n, source)
-    # one sweep suffices: a vector's first graph is the least root among the
-    # label classes that `_distinct_rows` merges into it
-    cols, label, roots, rows = _lc_orbits(n, _sweep)
+    cols, label, roots, rows = _lc_orbits(n)
+    # one sweep suffices: each label class lies inside one LC orbit, and the
+    # classes that share a row merge here
+    _keys, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
+    order = np.argsort(first)  # into the first-seen order
+    # each root's distinct-row index by edge mask, read through every label
+    root_vec = np.empty(len(label), dtype=np.int32)
+    root_vec[roots] = np.argsort(order)[inverse]
+    vec = root_vec.take(label)
     weights = _group_weights(cols.T) if source == "groups" else None
-    rows, counts, firsts = _distinct_rows(rows, np.bincount(label, weights)[roots], roots)
+    # float sums of integer weights are exact below 2^53
+    counts = np.bincount(vec, weights).astype(np.int64)
+    rows, firsts = rows[first[order]], roots[first[order]]
     class_id, least = _exchange_labels(n, rows)
     heads = np.flatnonzero(class_id == np.arange(len(rows)))
     canon = least[heads]
-    return rows, counts, cols[:, firsts].T, class_id, heads, canon, mmi_signs(rows[canon])
+    cls = np.searchsorted(heads, class_id)
+    return _Census(cols, vec, rows, counts, firsts, cls, heads, canon, mmi_signs(rows[canon]))
 
 
 def vector_census(n: int, source: str = "graphs", jobs: int = 1) -> CensusResult:
     """Distinct entropy vectors and exchange classes over one source family;
     `jobs` is accepted and ignored: every census runs in one process."""
-    rows, counts, adj, class_id, heads, canon, signs = _census_arrays(n, source)
-    keys = list(map(tuple, rows.tolist()))
-    vectors = dict(zip(keys, counts.tolist()))
+    c = _census_arrays(n, source)
+    keys = list(map(tuple, c.rows.tolist()))
+    vectors = dict(zip(keys, c.counts.tolist()))
     reps = dict.fromkeys(keys)
     if source == "graphs":
-        reps.update(zip(keys, (Graph(n, tuple(a)) for a in adj.tolist())))
-    states = np.bincount(class_id, counts)[heads].astype(np.int64) << (source == "groups") * n
-    members = np.bincount(class_id)[heads]
-    tallies = np.stack([(signs == s).sum(axis=-1) for s in (1, 0, -1)], axis=-1)
+        reps.update(zip(keys, (Graph(n, tuple(a)) for a in c.cols[:, c.firsts].T.tolist())))
+    states = np.bincount(c.cls, c.counts).astype(np.int64) << (source == "groups") * n
+    tallies = np.stack([(c.signs == s).sum(axis=-1) for s in (1, 0, -1)], axis=-1)
+    members = np.bincount(c.cls)
     classes = {
-        keys[c]: ClassInfo(keys[c], MmiTally(*tally), state_count, member_vectors, reps[keys[h]])
-        for c, h, tally, state_count, member_vectors in zip(
-            canon.tolist(), heads.tolist(), tallies.tolist(), states.tolist(), members.tolist()
+        keys[i]: ClassInfo(keys[i], MmiTally(*tally), state_count, member_vectors, reps[keys[h]])
+        for i, h, tally, state_count, member_vectors in zip(
+            c.canon.tolist(), c.heads.tolist(), tallies.tolist(), states.tolist(), members.tolist()
         )
     }
     return CensusResult(n, source, vectors, reps, classes)
@@ -365,13 +366,12 @@ def state_census(n: int, jobs: int = 1) -> CensusRow:
     state falls in its class's bucket, since relabeling qubits permutes the
     MMI instances among themselves.  `jobs` is accepted and ignored: every
     census runs in one process."""
-    rows, counts, _adj, class_id, heads, _canon, signs = _census_arrays(n, "groups")
-    fails = (signs < 0).any(axis=-1)
-    bucket = np.where(fails, 2, (signs > 0).any(axis=-1))[np.searchsorted(heads, class_id)]
-    states = np.bincount(bucket, counts, minlength=3).astype(np.int64) << n
-    failing_vectors = int(np.bincount(class_id)[heads][fails].sum())
+    c = _census_arrays(n, "groups")
+    fails = (c.signs < 0).any(axis=-1)[c.cls]
+    bucket = np.where(fails, 2, (c.signs > 0).any(axis=-1)[c.cls])
+    states = np.bincount(bucket, c.counts, minlength=3).astype(np.int64) << n
     total = (1 << n) * stabilizer_group_count(n)
-    return CensusRow(n, total, *states.tolist(), len(rows), len(heads), failing_vectors)
+    return CensusRow(n, total, *states.tolist(), len(c.rows), len(c.heads), int(fails.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +384,7 @@ def _orbit_four_star_search(cols: np.ndarray, members: np.ndarray) -> tuple[Grap
     has), and the members tested up to it."""
     for searched, mask in enumerate(members, start=1):
         g = Graph(len(cols), tuple(cols[:, mask].tolist()))
-        if next(graphmod.induced_four_stars(g), None) is not None:
+        if graphmod.has_induced_four_star(g):
             return g, searched
     return None, len(members)
 
@@ -393,22 +393,20 @@ def four_star_conjecture_scan(n: int) -> dict:
     """For every MMI-failing entropy vector, test the LC orbit of its first
     graph, member by member in ascending edge-mask order, for an induced
     four-star; counterexamples are expected empty."""
-    check_census_size(n, "graphs")
-    cols, label, roots, rows = _lc_orbits(n, _orbit_labels)
-    vals, _counts, firsts = _distinct_rows(rows, np.ones(len(roots)), roots)
-    fails = (mmi_signs(vals) < 0).any(axis=-1)
-    failing = sorted(zip(vals[fails].tolist(), firsts[fails].tolist()))
-    # each orbit's edge masks in ascending order, the orbits in root order
-    by_orbit = np.argsort(label, kind="stable")
-    orbits = np.split(by_orbit, np.searchsorted(label[by_orbit], roots[1:]))
+    c = _census_arrays(n, "graphs")
+    fails = (c.signs < 0).any(axis=-1)[c.cls]
+    failing = sorted(zip(c.rows[fails].tolist(), np.flatnonzero(fails).tolist()))
+    # each row's graphs, its LC orbit, in ascending edge-mask order
+    by_row = np.argsort(c.vec, kind="stable")
+    ends = np.cumsum(c.counts)
     witnesses = []
     counterexamples = []
-    for idx, (_vals, rep_mask) in enumerate(failing, start=1):
-        # a vector's first graph is a root
-        member, searched = _orbit_four_star_search(cols, orbits[np.searchsorted(roots, rep_mask)])
+    for idx, (_vals, i) in enumerate(failing, start=1):
+        members = by_row[ends[i] - c.counts[i] : ends[i]]
+        member, searched = _orbit_four_star_search(c.cols, members)
         record = {
             "vector_id": idx,
-            "representative": graphmod.to_graph6(Graph(n, tuple(cols[:, rep_mask].tolist()))),
+            "representative": graphmod.to_graph6(Graph(n, tuple(c.cols[:, c.firsts[i]].tolist()))),
             "orbit_searched": searched,
         }
         if member is not None:
@@ -428,17 +426,14 @@ def nontrivial_intersection_scan(n: int) -> dict:
     """Verify: a nontrivial-intersection partition implies the state fails
     some MMI instance.  Only graphs whose vector fails nothing need the
     partition search; any hit there is a counterexample."""
-    check_census_size(n, "graphs")
-    cols, label, roots, rows = _lc_orbits(n, _sweep)
+    c = _census_arrays(n, "graphs")
     # a failing graph satisfies the implication whatever its partitions;
-    # each graph reads its root's fail flag; the MMI gather, which sets the
-    # scan's peak memory, runs once per distinct row
-    _keys, first, inverse = np.unique(_row_keys(rows), return_index=True, return_inverse=True)
-    fails = (mmi_signs(rows[first]) < 0).any(axis=-1)[inverse][np.searchsorted(roots, label)]
+    # each graph reads its row's fail flag
+    fails = (c.signs < 0).any(axis=-1)[c.cls][c.vec]
     searched = np.flatnonzero(~fails).tolist()
     counterexamples = []
     for mask in searched:
-        g = Graph(n, tuple(cols[:, mask].tolist()))
+        g = Graph(n, tuple(c.cols[:, mask].tolist()))
         if starmod.find_star_partition(g) is not None:
             counterexamples.append(graphmod.to_graph6(g))
     return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from enum import Enum
 from itertools import combinations
 
@@ -28,7 +28,7 @@ __all__ = [
     "local_complement",
     "submatrix",
     "entropy",
-    "induced_four_stars",
+    "has_induced_four_star",
     "to_graph6",
     "from_graph6",
     "to_json",
@@ -146,15 +146,16 @@ def entropy(g: Graph, a_mask: int) -> int:
     return rank(submatrix(g, a_mask))
 
 
-def induced_four_stars(g: Graph) -> Iterator[tuple[int, tuple[int, int, int]]]:
-    """Each induced K_{1,3} subgraph as (center, (leaf, leaf, leaf)), 1-based."""
-    for quad in combinations(range(g.n), 4):
-        for c in quad:
-            leaves = [v for v in quad if v != c]
-            if all((g.adj[c] >> v) & 1 for v in leaves) and not any(
-                (g.adj[u] >> v) & 1 for u, v in combinations(leaves, 2)
-            ):
-                yield c + 1, tuple(v + 1 for v in leaves)
+def has_induced_four_star(g: Graph) -> bool:
+    """Whether g has an induced K_{1,3}: some vertex v with three pairwise
+    non-adjacent neighbours u < w < x, found on neighbourhood bitmasks."""
+    for nv in g.adj:
+        for u in range(g.n):
+            if nv >> u & 1:
+                free = nv & ~g.adj[u] & -2 << u  # N(v) ∖ N(u) above u
+                if any(free >> w & 1 and free & ~g.adj[w] & -2 << w for w in range(u + 1, g.n)):
+                    return True
+    return False
 
 
 def to_graph6(g: Graph) -> str:

@@ -9,7 +9,8 @@ graph.
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections.abc import Iterator
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -188,6 +189,18 @@ def dfs_lc_closure(adj: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
             if cur[a]:
                 stack.append(complement_at(cur, a))
     return seen
+
+
+def induced_four_stars(g) -> Iterator[tuple[int, tuple[int, int, int]]]:
+    """Each induced K_{1,3} subgraph as (center, (leaf, leaf, leaf)), 1-based:
+    every 4-subset, every center in it."""
+    for quad in combinations(range(g.n), 4):
+        for c in quad:
+            leaves = [v for v in quad if v != c]
+            if all((g.adj[c] >> v) & 1 for v in leaves) and not any(
+                (g.adj[u] >> v) & 1 for u, v in combinations(leaves, 2)
+            ):
+                yield c + 1, tuple(v + 1 for v in leaves)
 
 
 def edge_scan_generalized_star(adj: tuple[int, ...], i: int, j: int, k: int) -> bool:

@@ -17,6 +17,7 @@ from stabmmi.graphs import CapExceeded, from_edges
 from stabmmi.star import find_star_partition
 
 from oracles import brute_canonical, brute_lagrangians, dfs_lc_closure, edge_mask_adjacency
+from oracles import induced_four_stars
 from oracles import per_graph_vector_counts, random_adjacency, span_elements, table_canonical
 from oracles import per_class_state_census, union_find_least
 
@@ -128,7 +129,7 @@ def test_numpy_group_batch_matches_python():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_group_rows_and_weights_total(n):
     """One row per labeled graph, whose 2^(n−d)·3^d weights total every group."""
-    adj = C._lc_orbits(n, C._sweep)[0].T
+    adj = C._lc_orbits(n)[0].T
     assert len(adj) == 1 << (n * (n - 1) // 2)
     weights = C._group_weights(adj)
     assert int(weights.sum()) == C.stabilizer_group_count(n)
@@ -367,25 +368,36 @@ def lc_orbit_masks(g) -> list[int]:
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_orbit_labels_are_least_lc_orbit_masks(n):
-    """Each graph's label is the least edge mask in its LC orbit, as found by
-    depth-first search: every labeled graph for n ≤ 5, seeded samples at
-    n = 6 and 7.  The roots are the distinct labels, ascending, and the
-    adjacency columns are the graph rows."""
-    cols, label, roots, rows = C._lc_orbits(n, C._orbit_labels)
+    """Run until it converges, the LC walk labels each graph with the least
+    edge mask of its LC orbit, and the graphs that share a distinct row of
+    the census core are exactly that orbit, both as found by depth-first
+    search: every labeled graph for n ≤ 5, seeded samples at n = 6 and 7.
+    On every graph, the least mask is its row's first graph, so orbits and
+    distinct rows are equal in number.  `vec` is int32, and the adjacency
+    columns are the graph rows."""
+    c = C._census_arrays(n, "graphs")
     total = 1 << (n * (n - 1) // 2)
-    assert label.dtype == np.int32 and cols.dtype == np.uint8 and len(label) == total
-    assert roots.tolist() == sorted(set(label.tolist()))
+    assert c.vec.dtype == np.int32 and c.cols.dtype == np.uint8 and len(c.vec) == total
+    # LC at v toggles every pair inside N(v)
+    pair_bits = list(enumerate(combinations(range(n), 2)))
+    toggled = np.array(
+        [sum(1 << b for b, (i, j) in pair_bits if s >> i & s >> j & 1) for s in range(1 << n)]
+    )
+    edge_masks = np.arange(total)
+    least = C._orbit_labels(
+        edge_masks.astype(np.int32), lambda: (toggled[col] ^ edge_masks for col in c.cols)
+    )
     masks = range(total) if n <= 5 else random.Random(70 + n).sample(range(total), 15)
-    least: dict[int, int] = {}  # one search per orbit
+    checked = set()  # one search per orbit
     for m in masks:
-        if m not in least:
-            orbit = lc_orbit_masks(graphmod.from_edge_mask(n, m))
-            least.update(dict.fromkeys(orbit, min(orbit)))
-        assert label[m] == least[m]
-        assert tuple(cols[:, m].tolist()) == graphmod.from_edge_mask(n, m).adj
-    step = max(1, len(roots) // 50)
-    for root, row in zip(roots[::step].tolist(), rows[::step]):
-        assert tuple(row.tolist()) == rank_entropies(graphmod.from_edge_mask(n, root))
+        assert tuple(c.cols[:, m].tolist()) == graphmod.from_edge_mask(n, m).adj
+        if m not in checked:
+            orbit = sorted(lc_orbit_masks(graphmod.from_edge_mask(n, m)))
+            assert np.flatnonzero(c.vec == c.vec[m]).tolist() == orbit
+            assert (least[orbit] == orbit[0]).all()
+            checked.update(orbit)
+    assert np.array_equal(c.firsts[c.vec], least)
+    assert len(np.unique(least)) == len(c.rows) == len(c.firsts)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -393,7 +405,7 @@ def test_one_sweep_labels_lie_in_lc_orbits(n):
     """After one sweep, each graph's label is an edge mask of its LC orbit,
     as found by depth-first search, no larger than its own, and its own
     label: every labeled graph for n ≤ 5, seeded samples at n = 6 and 7."""
-    _cols, label, roots, _rows = C._lc_orbits(n, C._sweep)
+    _cols, label, roots, _rows = C._lc_orbits(n)
     masks = np.arange(1 << (n * (n - 1) // 2))
     assert (label <= masks).all() and (label[label] == label).all()
     assert roots.tolist() == sorted(set(label.tolist()))
@@ -410,7 +422,7 @@ def test_one_sweep_labels_lie_in_lc_orbits(n):
 def test_one_sweep_leaves_classes_that_share_a_vector(n, classes, vectors):
     """One sweep leaves more label classes than distinct vectors, so the
     census merges the rows of classes that share an LC orbit."""
-    rows = C._lc_orbits(n, C._sweep)[3]
+    rows = C._lc_orbits(n)[3]
     assert len(rows) == classes
     assert len(np.unique(C._row_keys(rows))) == vectors
 
@@ -488,9 +500,7 @@ def test_four_star_witness_is_least_orbit_mask_with_a_four_star(n):
     for rec in records:
         rep = graphmod.from_graph6(rec["representative"])
         orbit = sorted(lc_orbit_masks(rep))
-        hits = [
-            m for m in orbit if list(graphmod.induced_four_stars(graphmod.from_edge_mask(n, m)))
-        ]
+        hits = [m for m in orbit if list(induced_four_stars(graphmod.from_edge_mask(n, m)))]
         witness = edge_mask(graphmod.from_graph6(rec["witness"]))
         assert edge_mask(rep) == orbit[0] and witness == hits[0]
         assert rec["orbit_searched"] == orbit.index(witness) + 1
@@ -505,9 +515,9 @@ def test_four_star_scan_lists_a_planted_counterexample(monkeypatch):
     planted = want["witnesses"][3]
     rep = graphmod.from_graph6(planted["representative"])
     orbit = set(lc_orbit_masks(rep))
-    find = graphmod.induced_four_stars
+    find = graphmod.has_induced_four_star
     monkeypatch.setattr(
-        graphmod, "induced_four_stars", lambda g: iter(()) if edge_mask(g) in orbit else find(g)
+        graphmod, "has_induced_four_star", lambda g: edge_mask(g) not in orbit and find(g)
     )
     report = C.four_star_conjecture_scan(n)
     moved = {k: v for k, v in planted.items() if k != "witness"}

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stabmmi import tableau as tabmod
-from stabmmi import census
 from stabmmi.census import mmi_signs
 from stabmmi.entropy import (
     EntropyVector,
@@ -165,17 +164,17 @@ def test_vectorised_tally_matches_evaluate_mmi(n):
         assert instance_signs(ev, False) == list(compress(signs, partial))
 
 
-def test_mmi_signs_in_chunks_match_evaluate_mmi():
-    """mmi_signs gathers a fixed number of rows at a time; on one row more
-    than that, as a stack of rows and as a 3-D stack of them, each row's
-    int8 signs are the per-instance evaluate_mmi outcomes of its vector."""
+def test_mmi_signs_on_many_rows_match_evaluate_mmi():
+    """On 1,025 rows, as a stack of rows and as a 3-D stack of them, each
+    row's int8 signs are the per-instance evaluate_mmi outcomes of its
+    vector."""
     n = 5
     rng = random.Random(47)
     evs = [entropy_vector(random_tableau(rng, n)) for _ in range(8)]
     instances = mmi_instances(n)
     want = [[evaluate_mmi(ev, inst) for inst in instances] for ev in evs]
     assert len({tuple(w) for w in want}) > 1
-    picks = [rng.randrange(len(evs)) for _ in range(census._MMI_CHUNK + 1)]
+    picks = [rng.randrange(len(evs)) for _ in range(1025)]
     rows = np.array([evs[i].values for i in picks], dtype=np.uint8)
     signs = mmi_signs(rows)
     assert signs.dtype == np.int8 and signs.shape == (len(picks), len(instances))

@@ -8,16 +8,17 @@ from stabmmi.gf2 import rank
 from stabmmi.graphs import (
     Graph,
     entropy,
+    from_edge_mask,
     from_edges,
     from_graph6,
-    induced_four_stars,
+    has_induced_four_star,
     local_complement,
     submatrix,
     to_graph6,
     to_json,
 )
 
-from oracles import bit_list_graph6, dfs_lc_closure, random_adjacency
+from oracles import bit_list_graph6, dfs_lc_closure, induced_four_stars, random_adjacency
 from test_gf2 import transpose
 
 
@@ -128,6 +129,22 @@ def test_induced_four_stars():
     p4 = from_edges(4, [(1, 2), (2, 3), (3, 4)])
     assert list(induced_four_stars(p4)) == []
     assert (1, (2, 3, 4)) in list(induced_four_stars(k4112()))
+    assert has_induced_four_star(k4_star()) and has_induced_four_star(k4112())
+    assert not has_induced_four_star(p4)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_claw_test_matches_the_four_star_listing(n):
+    """A graph has an induced four-star exactly when the 4-subset listing
+    finds one: every labeled graph for n ≤ 6, 300 seeded graphs at n = 7
+    and 8."""
+    if n <= 6:
+        graphs = (from_edge_mask(n, m) for m in range(1 << (n * (n - 1) // 2)))
+    else:
+        rng = random.Random(30 + n)
+        graphs = (Graph(n, random_adjacency(rng, n)) for _ in range(300))
+    for g in graphs:
+        assert has_induced_four_star(g) == (next(induced_four_stars(g), None) is not None)
 
 
 def test_graph6_fixtures():

@@ -23,7 +23,7 @@ from stabmmi.star import (
     mmi_cij_colspace,
 )
 
-from oracles import edge_scan_generalized_star, random_adjacency
+from oracles import edge_scan_generalized_star, induced_four_stars, random_adjacency
 from test_gf2 import column_space, triple_intersect
 
 # Explicit classification examples, one per taxonomy case.
@@ -387,7 +387,7 @@ def test_four_star_witness_is_the_least_induced_four_star_across_the_blocks():
     for n in range(4, 6):
         for m in range(1 << (n * (n - 1) // 2)):
             g = graphmod.from_edge_mask(n, m)
-            stars = list(graphmod.induced_four_stars(g))
+            stars = list(induced_four_stars(g))
             for p in _star_partitions(g):
                 across = [
                     (c, *leaves)
