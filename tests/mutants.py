@@ -132,6 +132,13 @@ MUTANTS = [
         ["tests/test_graphs.py"],
     ),
     Mutant(
+        "claw test ignores the edge between two leaves",
+        "src/stabmmi/graphs.py",
+        "free & ~g.adj[w] & -2 << w",
+        "free & -2 << w",
+        ["tests/test_graphs.py"],
+    ),
+    Mutant(
         "no symmetry check in Graph",
         "src/stabmmi/graphs.py",
         "if ((row >> w) & 1) != ((adj[w] >> v) & 1):",
