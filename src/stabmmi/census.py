@@ -9,10 +9,10 @@ once per label class of one sweep of a min-label LC walk, on the class's
 least edge mask: each class lies inside one LC orbit, and equal rows are
 merged afterwards.  A graph state's generators are X on vertex v times Z on
 its neighbours.  The distinct vectors are labeled by the same walk with the
-n − 1 adjacent qubit transpositions as moves.  These generate every
-relabeling, and the distinct vectors are closed under relabeling, so each
-component is one whole exchange class, and its least vector, the first in
-the sorted keys of the binary search, is the class's canonical form (the
+n − 1 adjacent qubit transpositions, read off their first graphs, as moves.
+These generate every relabeling, and the distinct vectors are closed under
+relabeling, so each component is one whole exchange class, and its least
+vector, first in the keys the row dedup sorts, is its canonical form (the
 one `entropy.canonicalize` gives).  One core, `_census_arrays`, serves both
 censuses and both conjecture scans: one walk, one dedup, and `mmi_signs`
 once per exchange class, since relabeling permutes the MMI instances.  At
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -284,26 +284,36 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
 # exchange classes and census aggregation
 
 
-def _exchange_labels(n: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of the first and of the least row of each value row's
-    relabeling orbit, for distinct value rows `rows` that are closed under
-    qubit relabeling.  The moves are the n − 1 adjacent transpositions:
-    swapping qubits k and k + 1 maps mask m to the entry
-    m ^ (bit k ≠ bit k + 1)·0b11 << k, and each swapped row is found among
-    the rows by a binary search of their sorted keys, in which an orbit's
-    least row comes first."""
-    keys = _row_keys(rows)
-    order = np.argsort(keys)
-    keys = keys[order]
-    masks = np.arange(1, 1 << n)
-    images = []
-    for k in range(n - 1):
-        swapped = masks ^ ((masks >> k ^ masks >> (k + 1)) & 1) * (3 << k)
-        images.append(order[np.searchsorted(keys, _row_keys(rows[:, swapped - 1]))])
-    label = _orbit_labels(np.arange(len(rows), dtype=np.int32), lambda: images)
-    first_sorted = np.full(len(rows), len(rows))
-    np.minimum.at(first_sorted, label.take(order), np.arange(len(rows)))
-    return label, order.take(first_sorted.take(label))
+def _swapped_edges(n: int, k: int, masks: np.ndarray) -> np.ndarray:
+    """The edge masks of the graphs `masks` with vertices k and k + 1 swapped:
+    each pair's bit moves by 0, ±1 ({i, k} ↔ {i, k + 1}) or ±(n − k − 2)
+    ({k, j} ↔ {k + 1, j}), so the swap is one mask-and-shift per shift."""
+    pairs = list(combinations(range(n), 2))
+    swap = {k: k + 1, k + 1: k}
+    groups: dict[int, int] = {}
+    for b, (i, j) in enumerate(pairs):
+        shift = pairs.index(tuple(sorted((swap.get(i, i), swap.get(j, j))))) - b
+        groups[shift] = groups.get(shift, 0) | 1 << b
+    out = np.zeros_like(masks)
+    for shift, group in groups.items():
+        moved = masks & group
+        out |= moved << shift if shift >= 0 else moved >> -shift
+    return out
+
+
+def _exchange_labels(n: int, firsts, vec, rank) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first and of the least row of each distinct row's
+    relabeling orbit: row r has first graph `firsts[r]` (an edge mask) and
+    rank `rank[r]` among the rows' sorted keys, and `vec` is every labeled
+    graph's row index.  The moves are the n − 1 adjacent transpositions:
+    relabeling a graph relabels its row, so row r with qubits k and k + 1
+    swapped is the row of its first graph with vertices k and k + 1
+    swapped, and an orbit's least row is its row of least rank."""
+    images = [vec.take(_swapped_edges(n, k, firsts)) for k in range(n - 1)]
+    label = _orbit_labels(np.arange(len(firsts), dtype=np.int32), lambda: images)
+    least = np.full(len(firsts), len(firsts))
+    np.minimum.at(least, label, rank)
+    return label, np.argsort(rank).take(least.take(label))
 
 
 _Census = namedtuple("_Census", "cols vec rows counts firsts cls heads canon signs")
@@ -333,7 +343,7 @@ def _census_arrays(n: int, source: str) -> _Census:
     # float sums of integer weights are exact below 2^53
     counts = np.bincount(vec, weights).astype(np.int64)
     rows, firsts = rows[first[order]], roots[first[order]]
-    class_id, least = _exchange_labels(n, rows)
+    class_id, least = _exchange_labels(n, firsts, vec, order)
     heads = np.flatnonzero(class_id == np.arange(len(rows)))
     canon = least[heads]
     cls = np.searchsorted(heads, class_id)
@@ -378,15 +388,14 @@ def state_census(n: int, jobs: int = 1) -> CensusRow:
 # conjecture scans
 
 
-def _orbit_four_star_search(cols: np.ndarray, members: np.ndarray) -> tuple[Graph | None, int]:
-    """The first graph of an orbit's edge masks `members`, read off the
-    adjacency columns `cols`, that has an induced four-star (None if none
-    has), and the members tested up to it."""
-    for searched, mask in enumerate(members, start=1):
-        g = Graph(len(cols), tuple(cols[:, mask].tolist()))
+def _orbit_four_star_search(graphs) -> tuple[Graph | None, int]:
+    """The first of an orbit's graphs, in their order, that has an induced
+    four-star (None if none has), and the graphs tested up to it."""
+    searched = 0
+    for searched, g in enumerate(graphs, start=1):
         if graphmod.has_induced_four_star(g):
             return g, searched
-    return None, len(members)
+    return None, searched
 
 
 def four_star_conjecture_scan(n: int) -> dict:
@@ -403,14 +412,14 @@ def four_star_conjecture_scan(n: int) -> dict:
     counterexamples = []
     for idx, (_vals, i) in enumerate(failing, start=1):
         members = by_row[ends[i] - c.counts[i] : ends[i]]
-        member, searched = _orbit_four_star_search(c.cols, members)
-        record = {
-            "vector_id": idx,
-            "representative": graphmod.to_graph6(Graph(n, tuple(c.cols[:, c.firsts[i]].tolist()))),
-            "orbit_searched": searched,
-        }
+        # members[0] is the row's first graph: the representative is searched first
+        rep = Graph(n, tuple(c.cols[:, c.firsts[i]].tolist()))
+        rest = (Graph(n, tuple(c.cols[:, mask].tolist())) for mask in members[1:])
+        member, searched = _orbit_four_star_search(chain([rep], rest))
+        rep6 = graphmod.to_graph6(rep)
+        record = {"vector_id": idx, "representative": rep6, "orbit_searched": searched}
         if member is not None:
-            record["witness"] = graphmod.to_graph6(member)
+            record["witness"] = rep6 if member is rep else graphmod.to_graph6(member)
             witnesses.append(record)
         else:
             counterexamples.append(record)

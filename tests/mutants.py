@@ -62,6 +62,20 @@ MUTANTS = [
         [TEST_CENSUS, TEST_GOLDEN],
     ),
     Mutant(
+        "least row by first-seen index",
+        CENSUS,
+        "    np.minimum.at(least, label, rank)\n",
+        "    np.minimum.at(least, label, np.arange(len(firsts)))\n",
+        [TEST_CENSUS],
+    ),
+    Mutant(
+        "one shift group dropped from the edge swap",
+        CENSUS,
+        "    for shift, group in groups.items():\n",
+        "    for shift, group in list(groups.items())[1:]:\n",
+        [TEST_CENSUS],
+    ),
+    Mutant(
         "group weight 2^(n-d)*2^d",
         CENSUS,
         "[(1 << (n - k)) * 3**k for k in range(n + 1)]",

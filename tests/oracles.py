@@ -102,6 +102,33 @@ def table_canonical(n: int, vectors, tables=None) -> dict[tuple[int, ...], tuple
     return out
 
 
+def exchange_labels_by_row_search(n: int, rows: np.ndarray) -> tuple[list[int], list[int]]:
+    """The index of the first and of the least row of each value row's
+    relabeling orbit, for distinct uint8 value rows closed under qubit
+    relabeling, found from the rows alone: swapping qubits k and k + 1 maps
+    mask m to m ^ (bit k ≠ bit k + 1)·0b11 << k, each swapped row is found
+    by a binary search of the rows' sorted byte keys, and the n − 1 moves
+    are joined by union-find.  An orbit's least row is its first in that
+    sorted order."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    key = np.dtype((np.void, rows.shape[1]))
+    order = np.argsort(rows.view(key).ravel())
+    keys = rows[order].view(key).ravel()
+    masks = np.arange(1, 1 << n)
+    images = []
+    for k in range(n - 1):
+        swapped = masks ^ ((masks >> k ^ masks >> (k + 1)) & 1) * (3 << k)
+        moved = np.ascontiguousarray(rows[:, swapped - 1]).view(key).ravel()
+        found = np.searchsorted(keys, moved)
+        assert (keys[found] == moved).all(), "rows not closed under relabeling"
+        images.append(order[found])
+    label = union_find_least(len(rows), images)
+    least: dict[int, int] = {}
+    for i in order.tolist():
+        least.setdefault(label[i], i)
+    return label, [least[root] for root in label]
+
+
 def union_find_least(size: int, images) -> list[int]:
     """The least index in the component of each of range(size), joining i
     with image[i] for every image array, by union-find with the smaller root

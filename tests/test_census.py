@@ -17,6 +17,7 @@ from stabmmi.graphs import CapExceeded, from_edges
 from stabmmi.star import find_star_partition
 
 from oracles import brute_canonical, brute_lagrangians, dfs_lc_closure, edge_mask_adjacency
+from oracles import exchange_labels_by_row_search
 from oracles import induced_four_stars
 from oracles import per_graph_vector_counts, random_adjacency, span_elements, table_canonical
 from oracles import per_class_state_census, union_find_least
@@ -240,18 +241,53 @@ def test_census_classes_are_the_table_grouping_of_the_vectors(n, source):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_exchange_labels_are_relabeling_orbits(n):
-    """Each distinct vector's exchange label is the first vector with the
-    same least relabeled tuple: each component is one whole relabeling
-    orbit, whose least member the census takes as the canonical form, and
-    whose index comes second."""
-    rows = np.array(list(C.vector_census(n, "graphs").vectors), dtype=np.uint8)
-    canon = table_canonical(n, rows.tolist())
+    """Each distinct row's exchange label, walked through its first graph's
+    vertex swaps, is the first row with the same least relabeled tuple:
+    each component is one whole relabeling orbit, whose least member the
+    census takes as the canonical form, and whose index comes second.  The
+    relabeling tables and a binary search of the sorted row keys, with no
+    graphs, both agree."""
+    c = C._census_arrays(n, "graphs")
+    rank = np.argsort(np.argsort(C._row_keys(c.rows)))
+    label, least = C._exchange_labels(n, c.firsts, c.vec, rank)
+    assert label.dtype == np.int32
+    rows = list(map(tuple, c.rows.tolist()))
+    canon = table_canonical(n, rows)
     first = {}
-    want = [first.setdefault(canon[vals], i) for i, vals in enumerate(map(tuple, rows.tolist()))]
-    label, least = C._exchange_labels(n, rows)
+    want = [first.setdefault(canon[vals], i) for i, vals in enumerate(rows)]
     assert label.tolist() == want
-    index = {vals: i for i, vals in enumerate(map(tuple, rows.tolist()))}
-    assert least.tolist() == [index[canon[vals]] for vals in map(tuple, rows.tolist())]
+    index = {vals: i for i, vals in enumerate(rows)}
+    assert least.tolist() == [index[canon[vals]] for vals in rows]
+    assert exchange_labels_by_row_search(n, c.rows) == (label.tolist(), least.tolist())
+
+
+def swapped_vertices_mask(n: int, k: int, mask: int) -> int:
+    """The edge mask of graph `mask` with vertices k and k + 1 swapped, moved
+    edge by edge."""
+    g = graphmod.from_edge_mask(n, mask)
+    image = list(range(n))
+    image[k], image[k + 1] = k + 1, k
+    adj = [0] * n
+    for v, w in combinations(range(n), 2):
+        if g.adj[v] >> w & 1:
+            adj[image[v]] |= 1 << image[w]
+            adj[image[w]] |= 1 << image[v]
+    return edge_mask(graphmod.Graph(n, tuple(adj)))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_swapped_edges_swap_two_vertices(n):
+    """`_swapped_edges(n, k, ·)` is each graph with vertices k and k + 1
+    swapped, and applied twice gives back its input: every edge mask for
+    n ≤ 5, 2,000 seeded masks at n = 6 and 7."""
+    total = 1 << (n * (n - 1) // 2)
+    sample = range(total) if n <= 5 else random.Random(50 + n).sample(range(total), 2000)
+    masks = np.array(sample)
+    for k in range(n - 1):
+        swapped = C._swapped_edges(n, k, masks)
+        assert swapped.dtype == masks.dtype
+        assert swapped.tolist() == [swapped_vertices_mask(n, k, m) for m in masks.tolist()]
+        assert np.array_equal(C._swapped_edges(n, k, swapped), masks)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -504,6 +540,32 @@ def test_four_star_witness_is_least_orbit_mask_with_a_four_star(n):
         witness = edge_mask(graphmod.from_graph6(rec["witness"]))
         assert edge_mask(rep) == orbit[0] and witness == hits[0]
         assert rec["orbit_searched"] == orbit.index(witness) + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_first_graph_is_each_orbits_first_member(n):
+    """Each row's first graph is the first of its graphs in ascending
+    edge-mask order, the order in which the four-star scan searches a
+    row's LC orbit."""
+    c = C._census_arrays(n, "graphs")
+    by_row = np.argsort(c.vec, kind="stable")
+    ends = np.cumsum(c.counts)
+    assert np.array_equal(by_row[ends - c.counts], c.firsts)
+
+
+def test_four_star_scan_builds_each_searched_graph_once(monkeypatch):
+    """The representative is the first graph searched, built once: the
+    scan builds one `Graph` per searched member and no other."""
+    built = []
+
+    def graph(n, adj):
+        built.append(adj)
+        return graphmod.Graph(n, adj)
+
+    monkeypatch.setattr(C, "Graph", graph)
+    report = C.four_star_conjecture_scan(6)
+    searched = sum(rec["orbit_searched"] for rec in report["witnesses"])
+    assert len(built) == searched > len(report["witnesses"])
 
 
 def test_four_star_scan_lists_a_planted_counterexample(monkeypatch):
