@@ -4,13 +4,14 @@ Entropy vectors are aggregated into distinct-vector sets and qubit-exchange
 classes with MMI tallies.  Local complementation (LC) of a graph is a local
 Clifford, and local Cliffords change no subsystem entropy (Van den Nest,
 Dehaene, De Moor, PRA 69, 022316, 2004), so the support-counting kernel
-`_entropy_rows`, the numpy batch form of `entropy.entropy_vector`, runs
-once per label class of one sweep of a min-label LC walk, on the class's
-least edge mask: each class lies inside one LC orbit, and equal rows are
-merged afterwards.  A graph state's generators are X on vertex v times Z on
-its neighbours.  The distinct vectors are labeled by the same walk with the
-n − 1 adjacent qubit transpositions, read off their first graphs, as moves.
-These generate every relabeling, and the distinct vectors are closed under
+`_graph_entropy_rows`, the numpy batch form of `entropy.entropy_vector` for
+graph states, runs once per label class of one sweep of a min-label LC
+walk, on the class's least edge mask: each class lies inside one LC orbit,
+and equal rows are merged afterwards.  A graph state's generators are X on
+vertex v times Z on its neighbours, so the kernel reads adjacency rows.
+The distinct vectors are labeled by the same walk with the n − 1 adjacent
+qubit transpositions, read off their first graphs, as moves.  These
+generate every relabeling, and the distinct vectors are closed under
 relabeling, so each component is one whole exchange class, and its least
 vector, first in the keys the row dedup sorts, is its canonical form (the
 one `entropy.canonicalize` gives).  One core, `_census_arrays`, serves both
@@ -19,15 +20,16 @@ once per exchange class, since relabeling permutes the MMI instances.  At
 every n the census admits, the graphs that share a distinct row form exactly
 one LC orbit, so the four-star scan reads each orbit off the rows.
 
-Both censuses walk the same orbits: the group census weights each graph.  An
-unsigned stabilizer group is a maximal symplectically self-orthogonal
-subspace of Z_2^{2n}, and every one is local-Clifford equivalent to a graph
-state (ibid.).  The weight counts an explicit bijection.  Put the X-parts
-of a group in RREF, with pivot qubits P and free qubits F = V ∖ P.  The
-group is then fixed by a symmetric P×P matrix M and by the free RREF
-entries A, which sit at (p, c) with c > p only.  H on every qubit of F, then
-S on each pivot whose diagonal bit of M is set, gives the graph state Γ
-with edges M among P, A between P and F, and none inside F.
+Both censuses walk the same orbits: the group census weights each graph, so
+the kernel only ever sees graph states.  An unsigned stabilizer group is a
+maximal symplectically self-orthogonal subspace of Z_2^{2n}, and every one
+is local-Clifford equivalent to a graph state (ibid.).  The weight counts an
+explicit bijection.  Put the X-parts of a group in RREF, with pivot qubits P
+and free qubits F = V ∖ P.  The group is then fixed by a symmetric P×P
+matrix M and by the free RREF entries A, which sit at (p, c) with c > p
+only.  H on every qubit of F, then S on each pivot whose diagonal bit of M
+is set, gives the graph state Γ with edges M among P, A between P and F, and
+none inside F.
 
 Let D(Γ) be the vertices with no larger neighbour (an independent set).  A
 vertex set is the free set F of a group mapped to Γ exactly when F ⊆ D(Γ),
@@ -41,7 +43,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -111,38 +113,34 @@ def stabilizer_group_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batch kernels: entropy rows and MMI signs
+# batch kernels: graph-state entropy rows and MMI signs
 
 
-def _entropy_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Entropy rows from batches of generator rows.
+def _graph_entropy_rows(adj: np.ndarray) -> np.ndarray:
+    """Entropy rows of a batch of graph states.
 
     For a stabilizer group S, the number of elements supported inside A is
     2^(|A| − S_A) (Fattal et al., quant-ph/0406168), so a histogram of the
     2^n element supports plus a subset-sum (zeta) transform yields every
     subsystem entropy at once.
 
-    x and z have shape (B, n): entry [b, i] is the X- or Z-bitmask of
-    generator i of group b.  Returns uint8 rows of shape (B, 2^n − 1) whose
-    entry m − 1 is S_A for the nonempty mask m = A.  Work arrays are laid out
-    mask-major, (2^n, B), so every slice below is a contiguous block; they
-    are int32, which holds B·2^n < 2^31.
+    adj has shape (B, n): entry [b, v] is N(v) in graph b, the Z-bitmask of
+    generator v, whose X-bitmask is 1 << v.  Returns uint8 rows of shape
+    (B, 2^n − 1) whose entry m − 1 is S_A for the nonempty mask m = A.  Work
+    arrays are laid out mask-major, (2^n, B), so every slice below is a
+    contiguous block; they are int32, which holds B·2^n < 2^31.
     """
-    batch, n = z.shape
+    batch, n = adj.shape
     size = 1 << n
-    # element s is the product of the generators in bitmask s; its support
-    # is the union of its X- and Z-parts
-    x = np.asarray(x, dtype=np.int32).T
-    z = np.asarray(z, dtype=np.int32).T
-    x_parts = np.zeros((size, batch), dtype=np.int32)
-    z_parts = np.zeros((size, batch), dtype=np.int32)
+    # element s is the product of the generators in bitmask s: its X-part is
+    # s itself, and its support is the union of s and its Z-part
+    z = np.asarray(adj, dtype=np.int32).T
+    supports = np.zeros((size, batch), dtype=np.int32)
     for i in range(n):
-        np.bitwise_xor(x_parts[: 1 << i], x[i], out=x_parts[1 << i : 2 << i])
-        np.bitwise_xor(z_parts[: 1 << i], z[i], out=z_parts[1 << i : 2 << i])
+        np.bitwise_xor(supports[: 1 << i], z[i], out=supports[1 << i : 2 << i])
     # in place from here on: fresh arrays of this size cost more than the
     # arithmetic; each support becomes its bincount slot, support·B + b
-    supports = x_parts
-    supports |= z_parts
+    supports |= np.arange(size, dtype=np.int32)[:, None]
     supports *= batch
     supports += np.arange(batch, dtype=np.int32)
     counts = np.bincount(supports.ravel().astype(np.intp), minlength=size * batch)
@@ -184,12 +182,7 @@ def mmi_signs(values) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# graph rows and stabilizer groups
-
-
-def _graph_entropy_rows(adj: np.ndarray) -> np.ndarray:
-    """Kernel entropy rows of a batch of graph states."""
-    return _entropy_rows(np.broadcast_to(1 << np.arange(adj.shape[1]), adj.shape), adj)
+# stabilizer groups as weighted graphs
 
 
 def _group_weights(adj: np.ndarray) -> np.ndarray:
@@ -388,16 +381,6 @@ def state_census(n: int, jobs: int = 1) -> CensusRow:
 # conjecture scans
 
 
-def _orbit_four_star_search(graphs) -> tuple[Graph | None, int]:
-    """The first of an orbit's graphs, in their order, that has an induced
-    four-star (None if none has), and the graphs tested up to it."""
-    searched = 0
-    for searched, g in enumerate(graphs, start=1):
-        if graphmod.has_induced_four_star(g):
-            return g, searched
-    return None, searched
-
-
 def four_star_conjecture_scan(n: int) -> dict:
     """For every MMI-failing entropy vector, test the LC orbit of its first
     graph, member by member in ascending edge-mask order, for an induced
@@ -414,15 +397,15 @@ def four_star_conjecture_scan(n: int) -> dict:
         members = by_row[ends[i] - c.counts[i] : ends[i]]
         # members[0] is the row's first graph: the representative is searched first
         rep = Graph(n, tuple(c.cols[:, c.firsts[i]].tolist()))
-        rest = (Graph(n, tuple(c.cols[:, mask].tolist())) for mask in members[1:])
-        member, searched = _orbit_four_star_search(chain([rep], rest))
         rep6 = graphmod.to_graph6(rep)
-        record = {"vector_id": idx, "representative": rep6, "orbit_searched": searched}
-        if member is not None:
-            record["witness"] = rep6 if member is rep else graphmod.to_graph6(member)
-            witnesses.append(record)
-        else:
-            counterexamples.append(record)
+        record = {"vector_id": idx, "representative": rep6}
+        for searched, mask in enumerate(members.tolist(), start=1):
+            g = Graph(n, tuple(c.cols[:, mask].tolist())) if searched > 1 else rep
+            record["orbit_searched"] = searched
+            if graphmod.has_induced_four_star(g):
+                record["witness"] = rep6 if g is rep else graphmod.to_graph6(g)
+                break
+        (witnesses if "witness" in record else counterexamples).append(record)
     return {
         "n": n,
         "failing_vectors": len(failing),

@@ -3,8 +3,8 @@
 Subsets of qubits are bitmasks with qubit t at bit t−1.  An entropy vector
 stores S_A for every nonempty mask A; entries are exact naturals (bits).
 
-`entropy_vector` runs the support-counting kernel of `census._entropy_rows`
-on Python ints for one state; the batch kernel serves the censuses.  MMI
+`entropy_vector` runs the support-counting kernel on Python ints for one
+state; `census._graph_entropy_rows` runs it on batches of graph states.  MMI
 instances are rows of one cached mask table per n, which `census.mmi_signs`
 gathers for value batches and `instance_signs` reads for one vector.  The
 rank-per-mask `graphs.entropy` and `tableau.entropy`, and the per-instance
@@ -102,10 +102,10 @@ def entropy_vector(source) -> EntropyVector:
     """Full entropy vector of a Graph (x = identity, z = adjacency) or a
     Tableau.
 
-    The same kernel as `census._entropy_rows`, for one state: the number of
-    group elements supported inside A is 2^(|A| − S_A) (Fattal et al.,
-    quant-ph/0406168), counted by a histogram of the 2^n element supports
-    and a subset-sum (zeta) transform."""
+    The kernel of `census._graph_entropy_rows`, for one state with any
+    X-parts: the number of group elements supported inside A is
+    2^(|A| − S_A) (Fattal et al., quant-ph/0406168), counted by a histogram
+    of the 2^n element supports and a subset-sum (zeta) transform."""
     if isinstance(source, graphmod.Graph):
         x, z = [1 << v for v in range(source.n)], source.adj
     elif isinstance(source, tabmod.Tableau):

@@ -33,8 +33,30 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 CENSUS = "src/stabmmi/census.py"
 TEST_CENSUS = "tests/test_census.py"
 TEST_GOLDEN = "tests/test_golden.py"
+TEST_MMI = "tests/test_mmi.py"
 
 MUTANTS = [
+    Mutant(
+        "subset sums skip the last level",
+        CENSUS,
+        "    for k in range(n):\n",
+        "    for k in range(n - 1):\n",
+        [TEST_CENSUS, TEST_MMI],
+    ),
+    Mutant(
+        "supports without the X-part",
+        CENSUS,
+        "    supports |= np.arange(size, dtype=np.int32)[:, None]\n",
+        "",
+        [TEST_CENSUS, TEST_MMI],
+    ),
+    Mutant(
+        "bincount slot without the batch offset",
+        CENSUS,
+        "    supports += np.arange(batch, dtype=np.int32)\n",
+        "",
+        [TEST_CENSUS, TEST_MMI],
+    ),
     Mutant(
         "exchange walk stops after one sweep",
         CENSUS,

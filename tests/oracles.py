@@ -4,7 +4,9 @@ Everything here is written in the most literal textbook style possible and
 deliberately shares no code with stabmmi, except `per_graph_vector_counts`:
 it checks the census's LC-orbit reduction, not the entropy kernel (which
 has its own rank-per-mask oracle), so it runs that kernel on every labeled
-graph.
+graph.  `generator_entropy_rows` is that kernel's general-group form, the
+reference for groups that are not graph states; `test_mmi` checks it
+against the rank-per-mask oracle.
 """
 
 from __future__ import annotations
@@ -287,6 +289,41 @@ def edge_mask_adjacency(n: int, masks) -> np.ndarray:
             adj[:, j] |= edge << i
             b += 1
     return adj
+
+
+def generator_entropy_rows(x, z) -> np.ndarray:
+    """Entropy rows of any batch of stabilizer groups, from generator rows:
+    the support-counting kernel of `census._graph_entropy_rows` with general
+    X-parts, where that kernel's are the identity (X on vertex v).
+
+    For a stabilizer group S, the number of elements supported inside A is
+    2^(|A| − S_A) (Fattal et al., quant-ph/0406168), so a histogram of the
+    2^n element supports plus a subset-sum (zeta) transform yields every
+    subsystem entropy at once.  x and z have shape (B, n): entry [b, i] is
+    the X- or Z-bitmask of generator i of group b.  Returns uint8 rows of
+    shape (B, 2^n − 1) whose entry m − 1 is S_A for the nonempty mask m = A.
+    """
+    batch, n = np.shape(z)
+    size = 1 << n
+    # element s is the product of the generators in bitmask s
+    x = np.asarray(x, dtype=np.int32).T
+    z = np.asarray(z, dtype=np.int32).T
+    x_parts = np.zeros((size, batch), dtype=np.int32)
+    z_parts = np.zeros((size, batch), dtype=np.int32)
+    for i in range(n):
+        np.bitwise_xor(x_parts[: 1 << i], x[i], out=x_parts[1 << i : 2 << i])
+        np.bitwise_xor(z_parts[: 1 << i], z[i], out=z_parts[1 << i : 2 << i])
+    # each support becomes its bincount slot, support·B + b
+    slots = (x_parts | z_parts) * batch + np.arange(batch, dtype=np.int32)
+    counts = np.bincount(slots.ravel(), minlength=size * batch).reshape(size, batch)
+    # subset sums: counts[m] becomes the number of elements supported in m
+    for k in range(n):
+        half = counts.reshape(-1, 2, 1 << k, batch)
+        half[:, 1] += half[:, 0]
+    popcount = (np.arange(size)[:, None] >> np.arange(n) & 1).sum(axis=1).astype(np.uint8)
+    log2 = np.zeros(size + 1, dtype=np.uint8)
+    log2[1 << np.arange(n + 1)] = np.arange(n + 1)
+    return (popcount[1:, None] - log2[counts[1:]]).T.copy()
 
 
 def per_graph_vector_counts(n: int, source: str):

@@ -17,7 +17,7 @@ from stabmmi.graphs import CapExceeded, from_edges
 from stabmmi.star import find_star_partition
 
 from oracles import brute_canonical, brute_lagrangians, dfs_lc_closure, edge_mask_adjacency
-from oracles import exchange_labels_by_row_search
+from oracles import exchange_labels_by_row_search, generator_entropy_rows
 from oracles import induced_four_stars
 from oracles import per_graph_vector_counts, random_adjacency, span_elements, table_canonical
 from oracles import per_class_state_census, union_find_least
@@ -71,14 +71,21 @@ def test_support_counting_matches_rank_entropies():
 
 def test_numpy_graph_batch_matches_python():
     """Kernel rows of an edge-mask window equal the rank-per-mask oracle, and
-    the oracle's adjacency row m is that of the graph with edge mask m."""
-    for n in (6, 7):
+    kernel rows of the LC walk's roots, its production input, equal the
+    general-group reference kernel with identity X-parts; the oracle's
+    adjacency row m is that of the graph with edge mask m."""
+    for n, root_count in ((6, 777), (7, 11683)):
         start = (1 << 12) + 1234
         vals = C._graph_entropy_rows(edge_mask_adjacency(n, range(start, start + 64)))
         assert vals.shape == (64, (1 << n) - 1)
         for offset in range(64):
             g = graphmod.from_edge_mask(n, start + offset)
             assert tuple(vals[offset].tolist()) == rank_entropies(g)
+        cols, _label, roots, _rows = C._lc_orbits(n)
+        adj = cols[:, roots].T
+        assert len(adj) == root_count
+        want = generator_entropy_rows(np.broadcast_to(1 << np.arange(n), adj.shape), adj)
+        assert np.array_equal(C._graph_entropy_rows(adj), want)
     for n in range(1, 6):
         total = 1 << (n * (n - 1) // 2)
         for m, row in enumerate(edge_mask_adjacency(n, range(total)).tolist()):
@@ -147,7 +154,7 @@ def test_weighted_group_counts_match_every_group(n):
     groups = list(C.enumerate_stabilizer_groups(n))
     x = np.array([t.x.rows for t in groups])
     z = np.array([t.z.rows for t in groups])
-    plain = Counter(map(tuple, C._entropy_rows(x, z).tolist()))
+    plain = Counter(map(tuple, generator_entropy_rows(x, z).tolist()))
     assert list(C.vector_census(n, "groups").vectors.items()) == list(plain.items())
 
 
