@@ -381,6 +381,17 @@ def state_census(n: int, jobs: int = 1) -> CensusRow:
 # conjecture scans
 
 
+def _orbit_four_star_search(n: int, cols, members, rep: Graph) -> tuple[Graph | None, int]:
+    """The first of an orbit's graphs, edge masks `members` in order, that
+    has an induced four-star (None if none has), and the graphs tested up to
+    it.  members[0] is the row's first graph, `rep`, so it is searched first."""
+    for searched, mask in enumerate(members.tolist(), start=1):
+        g = Graph(n, tuple(cols[:, mask].tolist())) if searched > 1 else rep
+        if graphmod.has_induced_four_star(g):
+            return g, searched
+    return None, searched
+
+
 def four_star_conjecture_scan(n: int) -> dict:
     """For every MMI-failing entropy vector, test the LC orbit of its first
     graph, member by member in ascending edge-mask order, for an induced
@@ -395,17 +406,13 @@ def four_star_conjecture_scan(n: int) -> dict:
     counterexamples = []
     for idx, (_vals, i) in enumerate(failing, start=1):
         members = by_row[ends[i] - c.counts[i] : ends[i]]
-        # members[0] is the row's first graph: the representative is searched first
         rep = Graph(n, tuple(c.cols[:, c.firsts[i]].tolist()))
+        member, searched = _orbit_four_star_search(n, c.cols, members, rep)
         rep6 = graphmod.to_graph6(rep)
-        record = {"vector_id": idx, "representative": rep6}
-        for searched, mask in enumerate(members.tolist(), start=1):
-            g = Graph(n, tuple(c.cols[:, mask].tolist())) if searched > 1 else rep
-            record["orbit_searched"] = searched
-            if graphmod.has_induced_four_star(g):
-                record["witness"] = rep6 if g is rep else graphmod.to_graph6(g)
-                break
-        (witnesses if "witness" in record else counterexamples).append(record)
+        record = {"vector_id": idx, "representative": rep6, "orbit_searched": searched}
+        if member is not None:
+            record["witness"] = rep6 if member is rep else graphmod.to_graph6(member)
+        (witnesses if member is not None else counterexamples).append(record)
     return {
         "n": n,
         "failing_vectors": len(failing),

@@ -5,14 +5,14 @@ Runs pytest in this process over `tests/` while recording which lines of
 object in each module.  It fails if pytest fails, if a line outside ALLOW
 never ran, or if an ALLOW entry names no line.  Run from anywhere:
 
-    python tests/line_reach.py [pytest arguments]
+    python tests/line_reach.py
 
-The arguments, if given, replace the default `tests` run.  On Python 3.12
-and later the lines come from `sys.monitoring` LINE events, and each
-location is disabled after its first event, so the run costs about as much
-as Tier-1.  Older Pythons fall back to `sys.settrace`, which fires on every
-Python call: minutes, so the check is not part of Tier-1.  Only this
-process is traced; code that runs only in a subprocess must be allowed.
+On Python 3.12 and later the lines come from `sys.monitoring` LINE events,
+and each location is disabled after its first event, so the run costs about
+as much as Tier-1.  Older Pythons fall back to `sys.settrace`, which fires
+on every Python call: minutes, so the check is not part of Tier-1.  Only
+this process is traced; code that runs only in a subprocess must be allowed.
+It takes no arguments: the allowlist holds only for the whole suite.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def start_recording(prefix: str, hits: set[tuple[str, int]]):
     return lambda: sys.settrace(None)
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     if "stabmmi" in sys.modules:
@@ -102,7 +102,7 @@ def main(argv: list[str]) -> int:
     hits: set[tuple[str, int]] = set()
     stop = start_recording(str(PACKAGE) + os.sep, hits)
     try:
-        status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", "tests"])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
     finally:
         stop()
 
@@ -132,4 +132,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
