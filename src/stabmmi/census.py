@@ -18,7 +18,9 @@ one `entropy.canonicalize` gives).  One core, `_census_arrays`, serves both
 censuses and both conjecture scans: one walk, one dedup, and `mmi_signs`
 once per exchange class, since relabeling permutes the MMI instances.  At
 every n the census admits, the graphs that share a distinct row form exactly
-one LC orbit, so the four-star scan reads each orbit off the rows.
+one LC orbit, so the four-star scan reads each orbit off the rows.  The
+intersection scan runs the same walk over every labeled graph, with the
+vertex transpositions as moves, and searches one graph per relabeling class.
 
 Both censuses walk the same orbits: the group census weights each graph, so
 the kernel only ever sees graph states.  An unsigned stabilizer group is a
@@ -423,20 +425,18 @@ def four_star_conjecture_scan(n: int) -> dict:
 
 def nontrivial_intersection_scan(n: int) -> dict:
     """Verify: a nontrivial-intersection partition implies the state fails
-    some MMI instance.  Only graphs whose vector fails nothing need the
-    partition search; any hit there is a counterexample."""
+    some MMI instance.  Relabeling maps star partitions to star partitions,
+    so one search decides each relabeling class whose vector fails nothing,
+    on its least edge mask, and a hit makes each member a counterexample."""
+    check_census_size(n, "graphs")  # before the 2^E-entry walk
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int32)
+    label = _orbit_labels(masks, lambda: (_swapped_edges(n, k, masks) for k in range(n - 1)))
+    roots = np.flatnonzero(label == masks)
+    del masks  # freed before the census core
     c = _census_arrays(n, "graphs")
-    # a failing graph satisfies the implication whatever its partitions;
-    # each graph reads its row's fail flag
-    fails = (c.signs < 0).any(axis=-1)[c.cls][c.vec]
-    searched = np.flatnonzero(~fails).tolist()
-    counterexamples = []
-    for mask in searched:
-        g = Graph(n, tuple(c.cols[:, mask].tolist()))
-        if starmod.find_star_partition(g) is not None:
-            counterexamples.append(graphmod.to_graph6(g))
-    return {
-        "n": n,
-        "graphs_searched": len(searched),
-        "counterexamples": counterexamples,
-    }
+    fails = (c.signs < 0).any(axis=-1)[c.cls]  # one flag per distinct row
+    searched = roots[~fails[c.vec.take(roots)]].tolist()
+    hits = [m for m in searched if starmod.find_star_partition(graphmod.from_edge_mask(n, m))]
+    members = np.flatnonzero(np.isin(label, hits)).tolist()
+    found = [graphmod.to_graph6(graphmod.from_edge_mask(n, m)) for m in members]
+    return {"n": n, "graphs_searched": int(c.counts[~fails].sum()), "counterexamples": found}

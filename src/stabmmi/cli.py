@@ -386,10 +386,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("census", help="census tables and conjecture scans", description=(
-        "Census tables and conjecture scans, in one process: the entropy kernel runs once per"
-        " class of one local-complementation sweep of graphs (N <= 7; groups N <= 6), and"
-        " --scan-four-star tests the members of each failing vector's orbit in ascending"
-        " edge-mask order until one has an induced four-star."))
+        "Census tables and conjecture scans (graphs N <= 7; groups N <= 6), in one process: the"
+        " entropy kernel runs once per class of one local-complementation sweep; --scan-four-star"
+        " tests each failing vector's orbit in edge-mask order for an induced four-star, and"
+        " --scan-intersection searches one graph per relabeling class failing no MMI instance."))
     p.add_argument(
         "--source", choices=["graphs", "groups"], help="family that --classes counts (default groups)"
     )

@@ -52,12 +52,13 @@ STARS = {
 }
 
 # every census mode at its cap, with the seconds its subprocess may take
-# (each ends in under 3 s on 2 CPUs); `--scan-intersection 7` takes minutes
+# (each ends in under 3 s on 2 CPUs)
 AT_CAP = {
     ("census", "--table14", "6"): 30,
     ("census", "--classes", "6"): 30,
     ("census", "--classes", "7", "--source", "graphs"): 30,
     ("census", "--scan-four-star", "7"): 30,
+    ("census", "--scan-intersection", "7"): 30,
 }
 
 # n of each `census.vector_census(n, "graphs")` library-call entry

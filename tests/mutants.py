@@ -156,8 +156,15 @@ MUTANTS = [
     Mutant(
         "fail flags indexed by class id",
         CENSUS,
-        "fails = (c.signs < 0).any(axis=-1)[c.cls][c.vec]",
-        "fails = (c.signs < 0).any(axis=-1)[c.heads[c.cls]][c.vec]",
+        "roots[~fails[c.vec.take(roots)]]",
+        "roots[~fails[c.cls[c.vec.take(roots)]]]",
+        [TEST_CENSUS],
+    ),
+    Mutant(
+        "counterexamples list only the class root",
+        CENSUS,
+        "np.isin(label, hits)",
+        "np.isin(np.arange(len(label)), hits)",
         [TEST_CENSUS],
     ),
     Mutant(

@@ -1,12 +1,15 @@
 """Independent reference implementations used to validate the package.
 
 Everything here is written in the most literal textbook style possible and
-deliberately shares no code with stabmmi, except `per_graph_vector_counts`:
-it checks the census's LC-orbit reduction, not the entropy kernel (which
-has its own rank-per-mask oracle), so it runs that kernel on every labeled
-graph.  `generator_entropy_rows` is that kernel's general-group form, the
-reference for groups that are not graph states; `test_mmi` checks it
-against the rank-per-mask oracle.
+deliberately shares no code with stabmmi, except `per_graph_vector_counts`
+and `per_graph_intersection_scan`.  The first checks the census's LC-orbit
+reduction, not the entropy kernel (which has its own rank-per-mask oracle),
+so it runs that kernel on every labeled graph; the second checks the
+intersection scan's one search per relabeling class, so it runs the
+partition search on every labeled graph whose vector fails nothing.
+`generator_entropy_rows` is that kernel's general-group form, the reference
+for groups that are not graph states; `test_mmi` checks it against the
+rank-per-mask oracle.
 """
 
 from __future__ import annotations
@@ -349,6 +352,31 @@ def per_graph_vector_counts(n: int, source: str):
         np.array(list(counts.values()), dtype=np.int64),
         np.array(list(firsts.values()), dtype=np.int64),
     )
+
+
+def per_graph_intersection_scan(n: int) -> dict:
+    """The intersection scan without relabeling classes: the partition search
+    on every labeled graph whose vector fails no MMI instance, each graph
+    reading its row's fail flag, in ascending edge-mask order."""
+    from stabmmi import census as C
+    from stabmmi import graphs as graphmod
+    from stabmmi import star as starmod
+
+    c = C._census_arrays(n, "graphs")
+    # a failing graph satisfies the implication whatever its partitions;
+    # each graph reads its row's fail flag
+    fails = (c.signs < 0).any(axis=-1)[c.cls][c.vec]
+    searched = np.flatnonzero(~fails).tolist()
+    counterexamples = []
+    for mask in searched:
+        g = graphmod.Graph(n, tuple(c.cols[:, mask].tolist()))
+        if starmod.find_star_partition(g) is not None:
+            counterexamples.append(graphmod.to_graph6(g))
+    return {
+        "n": n,
+        "graphs_searched": len(searched),
+        "counterexamples": counterexamples,
+    }
 
 
 def per_class_state_census(result) -> tuple[int, ...]:

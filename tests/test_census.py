@@ -1,7 +1,9 @@
 import dataclasses
+import json
 import random
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from oracles import brute_canonical, brute_lagrangians, dfs_lc_closure, edge_mas
 from oracles import exchange_labels_by_row_search, generator_entropy_rows
 from oracles import induced_four_stars
 from oracles import per_graph_vector_counts, random_adjacency, span_elements, table_canonical
-from oracles import per_class_state_census, union_find_least
+from oracles import per_class_state_census, per_graph_intersection_scan, union_find_least
 
 
 def rank_entropies(source) -> tuple[int, ...]:
@@ -182,6 +184,8 @@ def test_sampled_graph_groups_match_rank_entropies():
         lambda: C.four_star_conjecture_scan(8),
         lambda: C.four_star_conjecture_scan(0),
         lambda: C.nontrivial_intersection_scan(8),
+        lambda: C.nontrivial_intersection_scan(0),
+        lambda: C.nontrivial_intersection_scan(9),
     ],
     ids=[
         "groups",
@@ -190,6 +194,8 @@ def test_sampled_graph_groups_match_rank_entropies():
         "four-star-scan-8",
         "four-star-scan-0",
         "intersection-scan",
+        "intersection-scan-0",
+        "intersection-scan-9",
     ],
 )
 def test_caps_raise_cap_exceeded(call):
@@ -480,29 +486,74 @@ def test_vector_counts_match_per_graph_walk(n, source):
     assert list(C.vector_census(n, source).vectors.items()) == want
 
 
+def relabeled_masks(n: int, masks) -> np.ndarray:
+    """The edge masks of the graphs `masks` under each of the n! vertex
+    relabelings, one row per relabeling, moved pair bit by pair bit."""
+    pairs = list(combinations(range(n), 2))
+    masks = np.asarray(masks, dtype=np.int64)
+    out = np.zeros((factorial(n), len(masks)), dtype=np.int64)
+    for row, perm in zip(out, permutations(range(n))):
+        for b, (i, j) in enumerate(pairs):
+            row |= (masks >> b & 1) << pairs.index(tuple(sorted((perm[i], perm[j]))))
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_scan_fail_flags_match_per_graph_kernel(n, monkeypatch):
-    """The intersection scan searches exactly the labeled graphs whose own
-    kernel row fails no MMI instance, in ascending edge-mask order."""
-    adj = edge_mask_adjacency(n, range(1 << (n * (n - 1) // 2)))
+    """The intersection scan searches exactly the relabeling-class roots, each
+    class's least edge mask over all n! relabelings, whose own kernel row
+    fails no MMI instance, in ascending edge-mask order.  The fail flag is
+    the same on every member of a class, and `graphs_searched` counts every
+    labeled graph whose row fails none."""
+    total = 1 << (n * (n - 1) // 2)
+    adj = edge_mask_adjacency(n, range(total))
     instances = mmi_instances(n)
-    want = []
-    for mask, row in enumerate(C._graph_entropy_rows(adj).tolist()):
-        ev = EntropyVector(n, tuple(row))
-        if not any(evaluate_mmi(ev, inst) is MmiOutcome.FAILS for inst in instances):
-            want.append(mask)
+    passes = [
+        not any(evaluate_mmi(EntropyVector(n, tuple(row)), inst) is MmiOutcome.FAILS
+                for inst in instances)
+        for row in C._graph_entropy_rows(adj).tolist()
+    ]
+    least = relabeled_masks(n, range(total)).min(axis=0)
+    assert all(passes[m] == passes[root] for m, root in enumerate(least.tolist()))
+    want = [m for m in range(total) if least[m] == m and passes[m]]
     searched = []
     monkeypatch.setattr(starmod, "find_star_partition", lambda g: searched.append(edge_mask(g)))
     report = C.nontrivial_intersection_scan(n)
     assert searched == want
-    assert report == {"n": n, "graphs_searched": len(want), "counterexamples": []}
+    assert report == {"n": n, "graphs_searched": sum(passes), "counterexamples": []}
+
+
+@pytest.mark.parametrize("n, passing", [(6, 18745), (7, 857353)])
+def test_scan_searches_each_passing_relabeling_class_once(n, passing, monkeypatch):
+    """At n = 6 and 7, each graph the intersection scan searches fails no
+    MMI instance (rank-per-mask entropy vector) and is the least edge mask
+    of its class over all n! relabelings, and the class sizes sum to the
+    labeled graphs that fail none: one search per such class."""
+    searched = []
+    monkeypatch.setattr(starmod, "find_star_partition", lambda g: searched.append(edge_mask(g)))
+    report = C.nontrivial_intersection_scan(n)
+    assert searched == sorted(set(searched))
+    for m in searched:
+        assert not mmi_tally(entropy_vector(graphmod.from_edge_mask(n, m))).fails
+    images = relabeled_masks(n, searched)
+    assert images.min(axis=0).tolist() == searched
+    images.sort(axis=0)
+    sizes = 1 + (np.diff(images, axis=0) != 0).sum(axis=0)
+    assert sizes.sum() == report["graphs_searched"] == passing
+
+
+def five_vertex_paths() -> set:
+    """Every labeled path on five vertices: 5!/2 = 60 graphs."""
+    return {from_edges(5, list(zip(p, p[1:]))) for p in permutations(range(1, 6))}
 
 
 def test_intersection_scan_lists_a_planted_counterexample(monkeypatch):
-    """A partition found on one non-failing graph makes that graph, and only
-    it, a counterexample; the searched set stays the same."""
+    """A partition found on every 5-vertex path, an isomorphism-invariant
+    predicate, makes all 60 labeled paths counterexamples, in ascending
+    edge-mask order; the search count stays the same."""
     n = 5
-    planted = from_edges(n, [(1, 2), (2, 3), (3, 4), (4, 5)])  # the path
+    paths = five_vertex_paths()
+    planted = from_edges(n, [(1, 2), (2, 3), (3, 4), (4, 5)])
     ev = EntropyVector(n, rank_entropies(planted))
     assert all(evaluate_mmi(ev, inst) is not MmiOutcome.FAILS for inst in mmi_instances(n))
     want = C.nontrivial_intersection_scan(n)
@@ -510,12 +561,27 @@ def test_intersection_scan_lists_a_planted_counterexample(monkeypatch):
 
     def find(g):
         searched.append(g)
-        return "partition" if g == planted else None
+        return "partition" if g in paths else None
 
     monkeypatch.setattr(starmod, "find_star_partition", find)
     report = C.nontrivial_intersection_scan(n)
-    assert planted in searched and len(searched) == want["graphs_searched"]
-    assert report == {**want, "counterexamples": [graphmod.to_graph6(planted)]}
+    assert len(paths) == 60 and sum(g in paths for g in searched) == 1  # the paths' root
+    found = [graphmod.to_graph6(g) for g in sorted(paths, key=edge_mask)]
+    assert report == {**want, "counterexamples": found}
+
+
+@pytest.mark.parametrize("n, planted", [(1, False), (2, False), (3, False), (4, False),
+                                       (5, False), (5, True)])
+def test_intersection_scan_matches_per_graph_scan(n, planted, monkeypatch):
+    """One search per relabeling class gives the per-graph scan's report,
+    byte for byte as the CLI prints it, with the real partition search and
+    with one that hits on every 5-vertex path."""
+    if planted:
+        paths = five_vertex_paths()
+        monkeypatch.setattr(starmod, "find_star_partition", lambda g: g in paths or None)
+    report, want = C.nontrivial_intersection_scan(n), per_graph_intersection_scan(n)
+    assert json.dumps(report, sort_keys=True, indent=1) == json.dumps(want, sort_keys=True, indent=1)
+    assert bool(want["counterexamples"]) == planted
 
 
 def test_four_star_scan_small():
